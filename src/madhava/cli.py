@@ -38,10 +38,13 @@ from .chronology import venvaroha_epoch_check
 from .geometry import NotCyclicError, QuadSides, circumradius
 from .pi_series import (
     CORRECTIONS,
+    DEFAULT_TERM_CAP,
+    GUARD,
     LEIBNIZ,
     NO_CORRECTION,
     SERIES_IDS,
     SeriesSpec,
+    TermCountError,
     circumference_check,
     evaluate,
     leibniz_corrected,
@@ -65,7 +68,6 @@ from .trig_series import (
 DEFAULT_SCALE = 20
 DEFAULT_DIGITS = 20
 DEFAULT_TABLE_SCALE = 10
-GUARD = 10
 
 
 @dataclass(frozen=True)
@@ -275,6 +277,8 @@ def cmd_converge(args, parser) -> int:
             parser.error(f"unknown series id {s!r}")
     if args.n_max < 1:
         parser.error("--n-max must be >= 1")
+    if args.n_max > DEFAULT_TERM_CAP:
+        raise TermCountError(f"--n-max {args.n_max} is above the term cap of {DEFAULT_TERM_CAP}")
     print("series,correction,n,value,abs_error")
     for row in _converge_rows(series_list, args.n_max, args.corrections, args.scale):
         print(f"{row.series_id},{row.correction},{row.n},{row.value},{row.abs_error}")

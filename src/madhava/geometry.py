@@ -31,7 +31,7 @@ from .bigfixed import (
     fd_rescale,
     fd_sub,
 )
-from .pi_series import pi_reference
+from .pi_series import GUARD, pi_reference
 from .trig_series import Angle, sin_series, sin_terms_for
 
 
@@ -59,7 +59,7 @@ def circumradius(q: QuadSides, scale: int) -> FixedDec:
     (sum of three sides minus the fourth) is zero within 10**-scale:
     dividing by a truncated near-zero is meaningless at fixed scale.
     """
-    ws = scale + 10
+    ws = scale + GUARD
     zero = FixedDec.from_int(0, ws)
     sides = [fd_rescale(s, ws) for s in q.as_tuple()]
     if any(s <= zero for s in sides):
@@ -90,7 +90,7 @@ def circumradius_oracle(angles: Sequence[FixedDec], radius: FixedDec, scale: int
     given radius: side_k = 2 R sin(gap_k / 2)."""
     if len(angles) != 4:
         raise ValueError("need exactly four angles")
-    ws = scale + 10
+    ws = scale + GUARD
     two_pi = fd_mul(pi_reference(ws), FixedDec.from_int(2))
     pts = [fd_rescale(t, ws) for t in angles]
     zero = FixedDec.from_int(0, ws)

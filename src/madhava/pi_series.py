@@ -15,11 +15,16 @@ appended after n Leibniz terms, the classical 13-digit fraction
 2,827,433,388,233 / 9e11, and the circumference cross-check for a circle
 of diameter 9e11.
 
+Each series is one ``SeriesDef`` entry in ``SERIES`` (exact terms,
+multiplier, signs, lead constant, tail bound) that summation,
+``error_bound`` and ``terms_for_digits`` all read, so adding a series is
+one entry.  The F1-F3 formulas are the ``CORRECTION_TERMS`` table.
+
 Numerical contract: a call with working scale s sums reciprocals that are
 individually truncated at s, so the result carries the analytic series
 error plus at most (n + a few) * 10**-s of truncation drift.  Callers
 wanting d trustworthy digits follow the guard-digit convention: compute
-at s = d + 10 and truncate the result to d.
+at s = d + GUARD and truncate the result to d.
 
 The leading constants in aux-a (3/4) and aux-d (1/2) are always included
 and never counted in n.  Term denominators are constructed as exact
@@ -29,6 +34,7 @@ Python integers and immediately wrapped; all accumulation is FixedDec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .bigfixed import (
     BigNat,
@@ -49,13 +55,54 @@ AUX_B = "aux-b"
 AUX_C = "aux-c"
 AUX_D = "aux-d"
 SQRT12 = "sqrt12"
-SERIES_IDS = (LEIBNIZ, AUX_A, AUX_B, AUX_C, AUX_D, SQRT12)
 
 NO_CORRECTION = "none"
 F1 = "f1"
 F2 = "f2"
 F3 = "f3"
-CORRECTIONS = (NO_CORRECTION, F1, F2, F3)
+
+# Guard digits: d requested digits are computed at scale d + GUARD.
+GUARD = 10
+
+
+@dataclass(frozen=True)
+class SeriesDef:
+    """pi ~ multiplier * (lead + sum_{k=1..n} sign_k * term(k)), with
+    term(k) = (num, den) for k >= 1, sign_k = (-1)**(k-1) when alternating,
+    and the multiplier's square root when root is set.  tail(n) bounds the
+    omitted terms; the default, the first omitted term, suits alternating
+    series with decreasing terms."""
+
+    term: Callable[[int], tuple[int, int]]
+    multiplier: int
+    root: bool = False
+    alternating: bool = True
+    lead: tuple[int, int] | None = None
+    tail: Callable[[int], tuple[int, int]] | None = None
+
+    def tail_bound(self, n: int) -> tuple[int, int]:
+        return self.tail(n) if self.tail else self.term(n + 1)
+
+
+SERIES: dict[str, SeriesDef] = {
+    LEIBNIZ: SeriesDef(lambda k: (1, 2 * k - 1), 4),
+    AUX_A: SeriesDef(lambda k: (1, (2 * k + 1) ** 3 - (2 * k + 1)), 4, lead=(3, 4)),
+    # all terms positive; 1/((4k-3)(4k-1)) <= 1/(8k-6) - 1/(8k+2) telescopes
+    AUX_B: SeriesDef(lambda k: (1, (4 * k - 2) ** 2 - 1), 8, alternating=False,
+                     tail=lambda n: (1, 8 * n + 2)),
+    AUX_C: SeriesDef(lambda k: (4, (2 * k - 1) ** 5 + 4 * (2 * k - 1)), 4),
+    AUX_D: SeriesDef(lambda k: (1, (2 * k) ** 2 - 1), 4, lead=(1, 2)),
+    SQRT12: SeriesDef(lambda k: (1, (2 * k - 1) * 3 ** (k - 1)), 12, root=True),
+}
+SERIES_IDS = tuple(SERIES)
+
+# End-corrections after n Leibniz terms, as (numerator, denominator).
+CORRECTION_TERMS: dict[str, Callable[[int], tuple[int, int]]] = {
+    F1: lambda n: (1, 4 * n),
+    F2: lambda n: (n, 4 * n * n + 1),
+    F3: lambda n: (n * n + 1, n * (4 * n * n + 5)),
+}
+CORRECTIONS = (NO_CORRECTION, *CORRECTION_TERMS)
 
 # pi truncated to 30 decimals.  Never trusted blindly: the test suite
 # re-derives it from pi_sqrt12 at n=70, where the a-priori bound is far
@@ -107,18 +154,34 @@ class PiResult:
 # series evaluation
 # ---------------------------------------------------------------------------
 
-def _signed_recip_sum(pairs, scale: int) -> FixedDec:
-    """Sum of (-1)**(k-1) * num_k / den_k, each quotient truncated at scale."""
-    acc = FixedDec.from_int(0, scale)
+def _series(series_id: str) -> SeriesDef:
+    try:
+        return SERIES[series_id]
+    except KeyError:
+        raise ValueError(f"unknown series id {series_id!r}") from None
+
+
+def _partial_sum(series: SeriesDef, n: int, scale: int) -> FixedDec:
+    """lead + sum_{k=1..n} sign_k * term(k), each quotient truncated at scale."""
+    acc = fd_from_ratio(*series.lead, 1, scale) if series.lead else FixedDec.from_int(0, scale)
+    step = -1 if series.alternating else 1
     sign = 1
-    for num, den in pairs:
+    for k in range(1, n + 1):
+        num, den = series.term(k)
         acc = fd_add(acc, fd_from_ratio(num, den, sign, scale))
-        sign = -sign
+        sign *= step
     return acc
 
 
-def _times_int(a: FixedDec, n: int) -> FixedDec:
-    return fd_mul(a, FixedDec.from_int(n))
+def _multiplier(series: SeriesDef, scale: int) -> FixedDec:
+    """The multiplier; a root is truncated at scale."""
+    m = FixedDec.from_int(series.multiplier)
+    return fd_isqrt(m, scale) if series.root else m
+
+
+def _series_value(series: SeriesDef, n: int, scale: int) -> FixedDec:
+    _check_terms(n)
+    return fd_mul(_partial_sum(series, n, scale), _multiplier(series, scale))
 
 
 def leibniz_partial(n: int, scale: int) -> FixedDec:
@@ -126,22 +189,17 @@ def leibniz_partial(n: int, scale: int) -> FixedDec:
 
     Error vs pi is within 4/(2n+1) + n * 10**-scale.
     """
-    _check_terms(n)
-    s = _signed_recip_sum(((1, 2 * k - 1) for k in range(1, n + 1)), scale)
-    return _times_int(s, 4)
+    return _series_value(SERIES[LEIBNIZ], n, scale)
 
 
 def correction_term(n: int, variant: str, scale: int) -> FixedDec:
     """End-correction after n terms: F1 = 1/(4n), F2 = n/(4n^2+1),
     F3 = (n^2+1)/(n(4n^2+5)).  Exact formula value truncated at scale."""
     _check_terms(n)
-    if variant == F1:
-        return fd_from_ratio(1, 4 * n, 1, scale)
-    if variant == F2:
-        return fd_from_ratio(n, 4 * n * n + 1, 1, scale)
-    if variant == F3:
-        return fd_from_ratio(n * n + 1, n * (4 * n * n + 5), 1, scale)
-    raise ValueError(f"unknown correction variant {variant!r}")
+    if variant not in CORRECTION_TERMS:
+        raise ValueError(f"unknown correction variant {variant!r}")
+    num, den = CORRECTION_TERMS[variant](n)
+    return fd_from_ratio(num, den, 1, scale)
 
 
 def leibniz_corrected(n: int, variant: str, scale: int) -> FixedDec:
@@ -150,11 +208,10 @@ def leibniz_corrected(n: int, variant: str, scale: int) -> FixedDec:
     The correction sign follows the series: it continues the alternation
     after the n-th term.
     """
-    _check_terms(n)
-    s = _signed_recip_sum(((1, 2 * k - 1) for k in range(1, n + 1)), scale)
     corr = correction_term(n, variant, scale)
-    s = fd_add(s, corr if n % 2 == 0 else -corr)
-    return _times_int(s, 4)
+    series = SERIES[LEIBNIZ]
+    s = fd_add(_partial_sum(series, n, scale), corr if n % 2 == 0 else -corr)
+    return fd_mul(s, _multiplier(series, scale))
 
 
 def aux_series(series_id: str, n: int, scale: int) -> FixedDec:
@@ -163,26 +220,9 @@ def aux_series(series_id: str, n: int, scale: int) -> FixedDec:
     n counts summed terms after any leading constant; the leading 3/4 of
     aux-a and 1/2 of aux-d are always included.
     """
-    _check_terms(n)
-    if series_id == AUX_A:
-        s = _signed_recip_sum(
-            ((1, (2 * k + 1) ** 3 - (2 * k + 1)) for k in range(1, n + 1)), scale)
-        s = fd_add(s, fd_from_ratio(3, 4, 1, scale))
-        return _times_int(s, 4)
-    if series_id == AUX_B:
-        acc = FixedDec.from_int(0, scale)
-        for k in range(1, n + 1):
-            acc = fd_add(acc, fd_from_ratio(1, (4 * k - 2) ** 2 - 1, 1, scale))
-        return _times_int(acc, 8)
-    if series_id == AUX_C:
-        s = _signed_recip_sum(
-            ((4, (2 * k - 1) ** 5 + 4 * (2 * k - 1)) for k in range(1, n + 1)), scale)
-        return _times_int(s, 4)
-    if series_id == AUX_D:
-        s = _signed_recip_sum(((1, (2 * k) ** 2 - 1) for k in range(1, n + 1)), scale)
-        s = fd_add(s, fd_from_ratio(1, 2, 1, scale))
-        return _times_int(s, 4)
-    raise ValueError(f"not an auxiliary series id: {series_id!r}")
+    if series_id not in (AUX_A, AUX_B, AUX_C, AUX_D):
+        raise ValueError(f"not an auxiliary series id: {series_id!r}")
+    return _series_value(SERIES[series_id], n, scale)
 
 
 def arctan_series(x: FixedDec, n: int, scale: int) -> FixedDec:
@@ -212,11 +252,7 @@ def pi_sqrt12(n: int, scale: int) -> FixedDec:
 
     Analytic error within sqrt(12) / ((2n+1) * 3**n).
     """
-    _check_terms(n)
-    s = _signed_recip_sum(
-        ((1, (2 * k - 1) * 3 ** (k - 1)) for k in range(1, n + 1)), scale)
-    root = fd_isqrt(FixedDec.from_int(12), scale)
-    return fd_mul(root, s)
+    return _series_value(SERIES[SQRT12], n, scale)
 
 
 def madhava_pi_value(scale: int) -> FixedDec:
@@ -242,7 +278,7 @@ def pi_reference(scale: int) -> FixedDec:
     if scale <= len(frac):
         return fd_from_string(intpart + "." + frac[:scale] if scale else intpart)
     n = terms_for_digits(SQRT12, scale + 2)
-    return fd_rescale(pi_sqrt12(n, scale + 10), scale)
+    return fd_rescale(pi_sqrt12(n, scale + GUARD), scale)
 
 
 @dataclass(frozen=True)
@@ -275,98 +311,55 @@ def circumference_check(scale: int = 20) -> CircumferenceReport:
 
 
 # ---------------------------------------------------------------------------
-# a-priori term selection
+# a-priori bounds, term selection and one-call evaluation
 # ---------------------------------------------------------------------------
-
-def _iroot(x: int, k: int) -> int:
-    """Floor k-th root of a non-negative int (Newton, exact)."""
-    if x == 0:
-        return 0
-    r = 1 << ((x.bit_length() + k - 1) // k)
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            return r
-        r = nr
-
-
-def _search_min(start: int, holds) -> int:
-    n = max(1, start)
-    while not holds(n):
-        n += 1
-    while n > 1 and holds(n - 1):
-        n -= 1
-    return n
-
 
 def terms_for_digits(series_id: str, digits: int, cap: int = DEFAULT_TERM_CAP) -> int:
-    """Smallest n whose analytic error bound (on the pi-normalized value)
-    drops below 10**-digits.
-
-    Bounds are the first omitted term for the alternating series, the
-    sqrt12 tail formula, and for the all-positive aux-b the telescoped
-    tail bound 4/(4n+1).  leibniz and aux-b shrink only like 1/n, so their
-    n grows like 10**digits; requests whose n exceeds the cap are refused.
-    """
+    """Smallest n whose analytic bound, error_bound without the drift,
+    drops below 10**-digits: an exact-integer test (squared for a root
+    multiplier) under a doubling search and a bisection.  leibniz and
+    aux-b shrink only like 1/n, so their n grows like 10**digits;
+    requests that need more than cap terms are refused."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
+    series = _series(series_id)
     p = 10**digits
-    if series_id == LEIBNIZ:
-        n = 2 * p  # smallest n with 4/(2n+1) < 10**-digits
-    elif series_id == AUX_B:
-        n = p  # smallest n with 4/(4n+1) < 10**-digits
-    elif series_id == AUX_A:
-        n = _search_min((_iroot(4 * p, 3) - 3) // 2,
-                        lambda n: (2 * n + 3) ** 3 - (2 * n + 3) > 4 * p)
-    elif series_id == AUX_C:
-        n = _search_min((_iroot(16 * p, 5) - 1) // 2,
-                        lambda n: (2 * n + 1) ** 5 + 4 * (2 * n + 1) > 16 * p)
-    elif series_id == AUX_D:
-        n = _search_min((_iroot(4 * p, 2) - 2) // 2,
-                        lambda n: (2 * n + 2) ** 2 - 1 > 4 * p)
-    elif series_id == SQRT12:
-        sq = 12 * p * p
-        n = _search_min(1, lambda n: ((2 * n + 1) * 3**n) ** 2 > sq)
-    else:
-        raise ValueError(f"unknown series id {series_id!r}")
-    if n > cap:
-        raise TermCountError(
-            f"{series_id} needs {n} terms for {digits} digits, above the cap of {cap}")
-    return n
+    power = 2 if series.root else 1
 
+    def below(n: int) -> bool:
+        num, den = series.tail_bound(n)
+        return series.multiplier * (num * p) ** power < den**power
 
-# ---------------------------------------------------------------------------
-# one-call evaluation with bound
-# ---------------------------------------------------------------------------
-
-def _drift(n: int, scale: int) -> FixedDec:
-    # n per-term truncations plus a couple for the final scaling
-    return FixedDec(1, BigNat.from_int(n + 4), scale)
+    lo, hi = 0, 1  # below(lo) fails (or lo is 0); hi is the candidate
+    while not below(hi):
+        if hi >= cap:
+            raise TermCountError(
+                f"{series_id} needs more than {cap} terms for {digits} digits")
+        lo, hi = hi, min(2 * hi, cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def error_bound(series_id: str, n: int, scale: int, correction: str = NO_CORRECTION) -> FixedDec | None:
-    """A-priori bound on |value - pi|, or None where no closed form is
+    """A-priori bound on |value - pi|: the multiplier times the series'
+    tail bound, plus the truncation drift.  None where no closed form is
     carried (the corrected Leibniz variants)."""
     if correction != NO_CORRECTION:
         return None
-    if series_id == LEIBNIZ:
-        analytic = fd_from_ratio(4, 2 * n + 1, 1, scale)
-    elif series_id == AUX_A:
-        analytic = fd_from_ratio(4, (2 * n + 3) ** 3 - (2 * n + 3), 1, scale)
-    elif series_id == AUX_B:
-        analytic = fd_from_ratio(4, 4 * n + 1, 1, scale)
-    elif series_id == AUX_C:
-        analytic = fd_from_ratio(16, (2 * n + 1) ** 5 + 4 * (2 * n + 1), 1, scale)
-    elif series_id == AUX_D:
-        analytic = fd_from_ratio(4, (2 * n + 2) ** 2 - 1, 1, scale)
-    elif series_id == SQRT12:
+    series = _series(series_id)
+    multiplier = _multiplier(series, scale)
+    if series.root:
         # ceil the root so the bound stays an upper bound
-        root_up = fd_add(fd_isqrt(FixedDec.from_int(12), scale),
-                         FixedDec(1, BigNat.from_int(1), scale))
-        analytic = fd_divn(root_up, (2 * n + 1) * 3**n)
-    else:
-        raise ValueError(f"unknown series id {series_id!r}")
-    return fd_add(analytic, _drift(n, scale))
+        multiplier = fd_add(multiplier, FixedDec(1, BigNat.from_int(1), scale))
+    num, den = series.tail_bound(n)
+    analytic = fd_divn(fd_mul(multiplier, FixedDec.from_int(num)), den, scale)
+    # drift: n per-term truncations plus a couple for the final scaling
+    return fd_add(analytic, FixedDec(1, BigNat.from_int(n + 4), scale))
 
 
 def evaluate(spec: SeriesSpec) -> PiResult:
@@ -388,3 +381,5 @@ def evaluate(spec: SeriesSpec) -> PiResult:
 def _check_terms(n: int) -> None:
     if n < 1:
         raise ValueError("term count must be >= 1")
+    if n > DEFAULT_TERM_CAP:
+        raise TermCountError(f"term count {n} is above the cap of {DEFAULT_TERM_CAP}")

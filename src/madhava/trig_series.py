@@ -37,9 +37,7 @@ from .bigfixed import (
     fd_round,
     fd_sub,
 )
-from .pi_series import pi_reference
-
-GUARD = 10
+from .pi_series import GUARD, pi_reference
 
 SIN = "sin"
 COS = "cos"

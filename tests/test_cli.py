@@ -61,7 +61,10 @@ class TestPiCommand:
         assert exc.value.code == 2
 
     def test_bad_terms_is_usage_error(self, capsys):
-        assert main(["pi", "--series", "leibniz", "--terms", "0"]) == 2
+        # a count above the term cap is refused before any summing
+        for terms in ("0", "1000001", "1000000000"):
+            assert main(["pi", "--series", "leibniz", "--terms", terms]) == 2
+            assert capsys.readouterr().out == ""
 
 
 class TestVerifyCommand:
@@ -133,6 +136,11 @@ class TestConvergeCommand:
         with pytest.raises(SystemExit) as exc:
             main(["converge", "--series", "machin", "--n-max", "3"])
         assert exc.value.code == 2
+
+    def test_n_max_above_cap_refused_before_output(self, capsys):
+        code, out = run_cli(capsys, "converge", "--series", "sqrt12", "--n-max", "1000001")
+        assert code == 2
+        assert out == ""
 
 
 class TestTrigCommands:

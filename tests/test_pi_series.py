@@ -200,9 +200,24 @@ class TestTermSelection:
         assert terms_for_digits(AUX_A, 8) == 367
         assert terms_for_digits(AUX_C, 8) == 35
         assert terms_for_digits(AUX_D, 8) == 10000
+        # digits 1..12, recorded from the closed forms that preceded the search:
+        # leibniz 2*10**d, aux-b 10**d, the others integer roots of the bound
+        frozen = {
+            LEIBNIZ: [2 * 10**d for d in range(1, 13)],
+            AUX_A: [1, 3, 7, 16, 36, 78, 170, 367, 793, 1709, 3683, 7936],
+            AUX_B: [10**d for d in range(1, 13)],
+            AUX_C: [1, 2, 3, 5, 9, 14, 22, 35, 55, 87, 138, 219],
+            AUX_D: [3, 10, 31, 100, 316, 1000, 3162, 10000, 31622, 100000, 316227, 1000000],
+            SQRT12: [2, 4, 6, 8, 9, 11, 13, 15, 17, 19, 21, 23],
+        }
+        for series, counts in frozen.items():
+            got = [terms_for_digits(series, d, cap=10**13) for d in range(1, 13)]
+            assert got == counts, series
 
     def test_minimality(self):
-        for series, digits in ((AUX_A, 6), (AUX_C, 9), (AUX_D, 5), (SQRT12, 12)):
+        cases = ((LEIBNIZ, 3), (AUX_A, 6), (AUX_B, 4), (AUX_C, 9), (AUX_D, 5),
+                 (SQRT12, 12), (SQRT12, 30))
+        for series, digits in cases:
             n = terms_for_digits(series, digits)
             bound_n = as_fraction(error_bound(series, n, 40))
             bound_prev = as_fraction(error_bound(series, n - 1, 40)) if n > 1 else None
