@@ -42,6 +42,7 @@ from .pi_series import (
     GUARD,
     LEIBNIZ,
     NO_CORRECTION,
+    SCALE_CAP,
     SERIES_IDS,
     SeriesSpec,
     TermCountError,
@@ -360,8 +361,19 @@ def _add_format(p):
                    help="output format (default: text)")
 
 
+def _digit_count(text: str) -> int:
+    """argparse type for --scale and --digits: an int in 0..SCALE_CAP."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 0 <= value <= SCALE_CAP:
+        raise argparse.ArgumentTypeError(f"{value} is outside 0..{SCALE_CAP}")
+    return value
+
+
 def _add_scale(p, default=DEFAULT_SCALE):
-    p.add_argument("--scale", type=int, default=default,
+    p.add_argument("--scale", type=_digit_count, default=default,
                    help=f"decimal digits of working precision (default: {default})")
 
 
@@ -377,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pi.add_argument("--terms", type=int, required=True, help="number of series terms")
     p_pi.add_argument("--correction", choices=CORRECTIONS, default=NO_CORRECTION,
                       help="end-correction, leibniz only (default: none)")
-    p_pi.add_argument("--digits", type=int, default=DEFAULT_DIGITS,
+    p_pi.add_argument("--digits", type=_digit_count, default=DEFAULT_DIGITS,
                       help=f"fractional digits to print (default: {DEFAULT_DIGITS})")
     _add_format(p_pi)
 

@@ -20,6 +20,9 @@ multiplier, signs, lead constant, tail bound) that summation,
 ``error_bound`` and ``terms_for_digits`` all read, so adding a series is
 one entry.  The F1-F3 formulas are the ``CORRECTION_TERMS`` table.
 
+``pi_reference`` is the one source of pi: the sqrt12 series, computed
+once per scale and memoised; every module that needs pi reads it.
+
 Numerical contract: a call with working scale s sums reciprocals that are
 individually truncated at s, so the result carries the analytic series
 error plus at most (n + a few) * 10**-s of truncation drift.  Callers
@@ -34,6 +37,7 @@ Python integers and immediately wrapped; all accumulation is FixedDec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .bigfixed import (
@@ -42,7 +46,6 @@ from .bigfixed import (
     fd_add,
     fd_divn,
     fd_from_ratio,
-    fd_from_string,
     fd_isqrt,
     fd_mul,
     fd_rescale,
@@ -104,16 +107,13 @@ CORRECTION_TERMS: dict[str, Callable[[int], tuple[int, int]]] = {
 }
 CORRECTIONS = (NO_CORRECTION, *CORRECTION_TERMS)
 
-# pi truncated to 30 decimals.  Never trusted blindly: the test suite
-# re-derives it from pi_sqrt12 at n=70, where the a-priori bound is far
-# below 1e-30.
-PI_REF_30 = "3.141592653589793238462643383279"
-
 # Attributed circumference of a circle of diameter 9e11, and that diameter.
 MADHAVA_CIRCUMFERENCE = 2_827_433_388_233
 CIRCLE_DIAMETER = 9 * 10**11
 
 DEFAULT_TERM_CAP = 1_000_000
+# Largest --scale / --digits the CLI accepts; bounds the work of one command.
+SCALE_CAP = 2000
 
 
 class TermCountError(ValueError):
@@ -265,18 +265,14 @@ def madhava_pi_value(scale: int) -> FixedDec:
     return fd_from_ratio(MADHAVA_CIRCUMFERENCE, CIRCLE_DIAMETER, 1, scale)
 
 
+@lru_cache(maxsize=None)
 def pi_reference(scale: int) -> FixedDec:
-    """Reference pi at the given scale.
-
-    Up to 30 digits this truncates a stored constant (itself re-derived
-    from pi_sqrt12 by the test suite); beyond that it is computed fresh
-    from the sqrt12 series with a bound two digits past the request.
-    """
+    """Reference pi truncated at the given scale: the sqrt12 series with
+    its a-priori bound two digits past the request, summed with guard
+    digits and truncated.  Memoised by scale, so every caller at one
+    scale shares one computation."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    intpart, frac = PI_REF_30.split(".")
-    if scale <= len(frac):
-        return fd_from_string(intpart + "." + frac[:scale] if scale else intpart)
     n = terms_for_digits(SQRT12, scale + 2)
     return fd_rescale(pi_sqrt12(n, scale + GUARD), scale)
 
@@ -292,15 +288,13 @@ def circumference_check(scale: int = 20) -> CircumferenceReport:
     """Recompute the circumference of the diameter-9e11 circle and compare
     with the attributed 2,827,433,388,233.
 
-    The reference pi comes from the sqrt12 series with its bound below
-    1e-18, so the product is certain to within well under one unit; the
-    product is then rounded to the nearest integer (half away from zero).
+    The product of pi_reference(scale) and the diameter is within
+    9e11 * 10**-scale, well under one unit, of the true circumference; it
+    is then rounded to the nearest integer (half away from zero).
     """
     if scale < 20:
         raise ValueError("circumference check needs scale >= 20")
-    n = terms_for_digits(SQRT12, 18)
-    pi_val = pi_sqrt12(n, scale)
-    product = fd_mul(pi_val, FixedDec.from_int(CIRCLE_DIAMETER))
+    product = fd_mul(pi_reference(scale), FixedDec.from_int(CIRCLE_DIAMETER))
     computed = fd_round(product, 0).mantissa
     madhava = BigNat.from_int(MADHAVA_CIRCUMFERENCE)
     return CircumferenceReport(

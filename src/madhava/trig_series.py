@@ -1,16 +1,16 @@
 """Sine and cosine power series, nested polynomial evaluation, the
 24-entry sine table, second-order shift formulas and angle-addition rules.
 
-The evaluation scheme: reciprocal-factorial coefficients are precomputed
-once per (purpose, terms, scale) into an immutable table, and the series
-is evaluated as a polynomial in theta**2 by innermost-first nesting, one
-multiply and one add per coefficient (the sine path multiplies by theta
-at the end).  A table is built from exact integer factorials and
-truncated once, so repeated calls share identical coefficients.
+The evaluation scheme: sin, cos and sin^2 each have a coefficient table,
+precomputed once per (purpose, terms, scale), and share one evaluation as
+a polynomial in theta**2 by innermost-first nesting, one multiply and one
+add per coefficient (then times theta for sin, theta**2 for sin^2).  A
+table is built from exact integer ratios and truncated once, so repeated
+calls share identical coefficients.
 
-Angles are FixedDec radians.  Degree construction converts through an
-internally derived pi with ten guard digits.  The series contracts hold
-for |theta| <= pi; use reduce_angle first for anything wider.
+Angles are FixedDec radians.  Degree construction converts through
+pi_reference with ten guard digits.  The series contracts hold for
+|theta| <= pi; use reduce_angle first for anything wider.
 
 Every public operation takes a target scale, computes with ten guard
 digits internally and truncates the result to the target.  The one
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
+from typing import Callable
 
 from .bigfixed import (
     BigNat,
@@ -41,6 +42,7 @@ from .pi_series import GUARD, pi_reference
 
 SIN = "sin"
 COS = "cos"
+SINSQ = "sinsq"
 
 SIN_SUM = "sin-sum"
 SIN_DIFF = "sin-diff"
@@ -65,11 +67,19 @@ class Angle:
         return cls(fd_divn(prod, 180, scale))
 
 
+# Coefficient k in x = theta**2 is (-1)**k * num / den, (num, den) = term(k).
+# sin^2's 2**(2k+1) / (2k+2)! is exactly its running-product form 1 / D_{k+1}.
+_COEFFICIENT_TERMS: dict[str, Callable[[int], tuple[int, int]]] = {
+    SIN: lambda k: (1, factorial(2 * k + 1)),
+    COS: lambda k: (1, factorial(2 * k)),
+    SINSQ: lambda k: (2 ** (2 * k + 1), factorial(2 * k + 2)),
+}
+
+
 @dataclass(frozen=True)
 class CoeffTable:
-    """Signed reciprocal-factorial coefficients for the series in
-    x = theta**2: coefficient k is (-1)**k / (2k+1)! for sin and
-    (-1)**k / (2k)! for cos."""
+    """Signed coefficients (-1)**k * num / den of one series in
+    x = theta**2, each truncated once at the table's scale."""
 
     purpose: str
     coefficients: tuple[FixedDec, ...]
@@ -78,22 +88,19 @@ class CoeffTable:
 
 @lru_cache(maxsize=None)
 def coeff_table(purpose: str, terms: int, scale: int) -> CoeffTable:
-    if purpose not in (SIN, COS):
-        raise ValueError(f"table purpose must be sin or cos, got {purpose!r}")
+    if purpose not in _COEFFICIENT_TERMS:
+        raise ValueError(f"table purpose must be sin, cos or sinsq, got {purpose!r}")
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    coeffs = []
-    for k in range(terms):
-        fac = factorial(2 * k + 1) if purpose == SIN else factorial(2 * k)
-        sign = 1 if k % 2 == 0 else -1
-        coeffs.append(fd_from_ratio(1, fac, sign, scale))
-    return CoeffTable(purpose=purpose, coefficients=tuple(coeffs), count=terms)
+    term = _COEFFICIENT_TERMS[purpose]
+    coeffs = tuple(fd_from_ratio(*term(k), (-1) ** k, scale) for k in range(terms))
+    return CoeffTable(purpose=purpose, coefficients=coeffs, count=terms)
 
 
 def nested_eval(table: CoeffTable, theta: Angle, scale: int) -> FixedDec:
     """Evaluate the table's polynomial at x = theta**2 by nesting:
     (((c_N x + c_{N-1}) x + ...) x + c_0), one multiply and one add per
-    coefficient; the sin path then multiplies by theta."""
+    coefficient; then times theta for sin and theta**2 for sin^2."""
     if table.count == 0:
         raise ValueError("empty coefficient table")
     th = fd_rescale(theta.radians, scale)
@@ -103,6 +110,8 @@ def nested_eval(table: CoeffTable, theta: Angle, scale: int) -> FixedDec:
         acc = fd_add(fd_mul(acc, x), fd_rescale(c, scale))
     if table.purpose == SIN:
         acc = fd_mul(acc, th)
+    elif table.purpose == SINSQ:
+        acc = fd_mul(acc, x)
     return acc
 
 
@@ -113,48 +122,30 @@ def _check_domain(theta: Angle, limit: FixedDec, what: str) -> None:
         raise ValueError(f"angle out of range: |theta| must be <= {what}")
 
 
+def _power_series(purpose: str, theta: Angle, terms: int, scale: int) -> FixedDec:
+    ws = scale + GUARD
+    _check_domain(theta, pi_reference(ws), "pi")
+    table = coeff_table(purpose, terms, ws)
+    return fd_rescale(nested_eval(table, theta, ws), scale)
+
+
 def sin_series(theta: Angle, terms: int, scale: int) -> FixedDec:
     """Partial sum theta - theta^3/3! + theta^5/5! - ... via nested
     evaluation.  Requires |theta| <= pi (reduce first)."""
-    ws = scale + GUARD
-    _check_domain(theta, pi_reference(ws), "pi")
-    table = coeff_table(SIN, terms, ws)
-    return fd_rescale(nested_eval(table, theta, ws), scale)
+    return _power_series(SIN, theta, terms, scale)
 
 
 def cos_series(theta: Angle, terms: int, scale: int) -> FixedDec:
     """Partial sum 1 - theta^2/2! + theta^4/4! - ... via nested
     evaluation.  Requires |theta| <= pi."""
-    ws = scale + GUARD
-    _check_domain(theta, pi_reference(ws), "pi")
-    table = coeff_table(COS, terms, ws)
-    return fd_rescale(nested_eval(table, theta, ws), scale)
+    return _power_series(COS, theta, terms, scale)
 
 
 def sin_sq_series(theta: Angle, terms: int, scale: int) -> FixedDec:
     """Direct series for sin**2: theta^2 - theta^4/D_2 + theta^6/D_3 - ...
-    with D_k the running product of (j^2 - j/2) for j = 2..k.
-
-    Each 1/D_k is the exact rational 2**(k-1) / prod(j * (2j-1)); the
-    power-of-two denominator is absorbed before the single truncation.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    ws = scale + GUARD
-    _check_domain(theta, pi_reference(ws), "pi")
-    th = fd_rescale(theta.radians, ws)
-    x = fd_mul(th, th)
-    den = 1  # prod of j*(2j-1), j = 2..k
-    coeffs = []
-    for k in range(1, terms + 1):
-        if k > 1:
-            den *= k * (2 * k - 1)
-        sign = 1 if k % 2 == 1 else -1
-        coeffs.append(fd_from_ratio(2 ** (k - 1), den, sign, ws))
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = fd_add(fd_mul(acc, x), c)
-    return fd_rescale(fd_mul(acc, x), scale)
+    with D_k the running product of (j^2 - j/2) for j = 2..k; each 1/D_k
+    is the exact rational 2**(2k-1) / (2k)!, truncated once."""
+    return _power_series(SINSQ, theta, terms, scale)
 
 
 def sin_terms_for(digits: int, theta_bound_milli: int = 1571) -> int:

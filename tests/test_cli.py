@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from madhava.cli import build_verify_report, main
+from madhava.cli import build_parser, build_verify_report, main
+from madhava.pi_series import SCALE_CAP
 
 
 def run_cli(capsys, *argv):
@@ -205,6 +206,30 @@ class TestQuadChrono:
         payload = json.loads(out)
         assert payload["matches_paper"] is True
         assert payload["jd"] == "2233206.069000"
+
+
+class TestScaleCap:
+    @pytest.mark.parametrize("argv", [
+        ("converge", "--series", "leibniz", "--n-max", "3", "--scale", "-1"),
+        ("pi", "--series", "sqrt12", "--terms", "10", "--digits", "-3"),
+        ("pi", "--series", "leibniz", "--terms", "1000000", "--digits", "2001"),
+        ("trig", "eval", "--fn", "sin", "--degrees", "30", "--scale", "100000"),
+        ("trig", "table", "--scale", "2001"),
+        ("quad", "radius", "--sides", "3,4,3,4", "--scale", "ten"),
+    ])
+    def test_refused_before_any_output(self, argv, capsys):
+        # refused while parsing, so converge prints no header and pi sums nothing
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_cap_admits_its_bounds(self):
+        parser = build_parser()
+        for value in ("0", str(SCALE_CAP)):
+            assert parser.parse_args(["trig", "table", "--scale", value]).scale == int(value)
+            args = parser.parse_args(["pi", "--series", "sqrt12", "--terms", "1", "--digits", value])
+            assert args.digits == int(value)
 
 
 class TestDeterminism:

@@ -305,6 +305,16 @@ class TestPiReference:
         derived = fd_rescale(pi_sqrt12(70, 40), 30)
         assert fd_to_string(derived) == fd_to_string(pi_reference(30))
 
+    def test_truncates_independent_oracle(self):
+        # every scale the 50-digit oracle settles
+        for s in range(48):
+            expected = Fraction(int(PI_50 * 10**s), 10**s)
+            assert as_fraction(pi_reference(s)) == expected
+            assert pi_reference(s).scale == s
+
+    def test_memoised_by_scale(self):
+        assert pi_reference(33) is pi_reference(33)
+
     def test_extends_beyond_constant(self):
         v = pi_reference(35)
         assert fd_to_string(v) == "3.14159265358979323846264338327950288"

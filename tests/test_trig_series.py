@@ -26,6 +26,7 @@ from madhava.trig_series import (
     SIN,
     SIN_DIFF,
     SIN_SUM,
+    SINSQ,
     Angle,
     angle_add,
     build_sine_table,
@@ -79,6 +80,18 @@ class TestCoeffTable:
         t = coeff_table(SIN, 1, 12)
         v = nested_eval(t, Angle(fd_from_string("0.5")), 12)
         assert fd_to_string(v) == "0.500000000000"
+
+    def test_sin_sq_matches_running_product_oracle(self):
+        # coefficient k is (-1)**k / D_{k+1}, with D_1 = 1 and
+        # D_k = D_{k-1} * (k^2 - k/2), each truncated once at the scale
+        scale = 30
+        table = coeff_table(SINSQ, 12, scale)
+        d = Fraction(1)
+        for k, c in enumerate(table.coefficients):
+            if k > 0:
+                d *= Fraction((k + 1) ** 2) - Fraction(k + 1, 2)
+            assert c.sign == (-1) ** k
+            assert abs(as_fraction(c)) == Fraction(int(10**scale / d), 10**scale)
 
 
 class TestNestedEval:
