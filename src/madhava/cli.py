@@ -12,13 +12,15 @@ Subcommands:
 Every number printed anywhere comes from fd_to_string, so output is a
 pure function of the argument vector: identical invocations produce
 byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
-2 usage error.
+2 usage error, 141 (128 + SIGPIPE) when the reader of stdout closes it
+early, as ``| head`` does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from math import factorial
@@ -48,8 +50,7 @@ from .pi_series import (
     TermCountError,
     circumference_check,
     evaluate,
-    leibniz_corrected,
-    leibniz_partial,
+    leibniz_sweep,
     madhava_pi_value,
     pi_reference,
 )
@@ -69,6 +70,10 @@ from .trig_series import (
 DEFAULT_SCALE = 20
 DEFAULT_DIGITS = 20
 DEFAULT_TABLE_SCALE = 10
+# sin_terms_for(SCALE_CAP + GUARD, 3142): the most sine terms any admitted
+# scale needs on |theta| <= pi.  Stored, because computing it takes about
+# 70 ms; tests/test_cli.py checks the two agree.
+TRIG_TERM_CAP = 488
 
 
 @dataclass(frozen=True)
@@ -179,11 +184,11 @@ def _check_hierarchy() -> VerifyCheck:
     scale = 40
     pi_ref = pi_reference(scale)
     first_violation = None
-    for n in range(2, 51):
-        errs = [abs(fd_sub(leibniz_partial(n, scale), pi_ref))]
-        for variant in ("f1", "f2", "f3"):
-            errs.append(abs(fd_sub(leibniz_corrected(n, variant, scale), pi_ref)))
-        if not (errs[3] < errs[2] < errs[1] < errs[0]):
+    for n, values in leibniz_sweep(50, scale):
+        if n < 2:
+            continue
+        errs = [abs(fd_sub(values[mode], pi_ref)) for mode in CORRECTIONS]
+        if not all(later < earlier for earlier, later in zip(errs, errs[1:])):
             first_violation = n
             break
     return VerifyCheck(
@@ -361,15 +366,21 @@ def _add_format(p):
                    help="output format (default: text)")
 
 
-def _digit_count(text: str) -> int:
-    """argparse type for --scale and --digits: an int in 0..SCALE_CAP."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if not 0 <= value <= SCALE_CAP:
-        raise argparse.ArgumentTypeError(f"{value} is outside 0..{SCALE_CAP}")
-    return value
+def _int_upto(cap: int):
+    """argparse type: an int in 0..cap."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if not 0 <= value <= cap:
+            raise argparse.ArgumentTypeError(f"{value} is outside 0..{cap}")
+        return value
+    return parse
+
+
+# for --scale and --digits
+_digit_count = _int_upto(SCALE_CAP)
 
 
 def _add_scale(p, default=DEFAULT_SCALE):
@@ -412,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_eval.add_mutually_exclusive_group(required=True)
     group.add_argument("--degrees")
     group.add_argument("--radians")
-    p_eval.add_argument("--terms", type=int, default=0,
-                        help="series terms (default: from the accuracy bound)")
+    p_eval.add_argument("--terms", type=_int_upto(TRIG_TERM_CAP), default=0,
+                        help="series terms, at most "
+                             f"{TRIG_TERM_CAP} (default: from the accuracy bound)")
     _add_scale(p_eval)
 
     p_table = trig_sub.add_parser("table", help="the 24-entry sine table")
@@ -474,7 +486,16 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe must fail here, inside the try
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull
+        # so that flush cannot raise a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

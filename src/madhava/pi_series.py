@@ -20,6 +20,12 @@ multiplier, signs, lead constant, tail bound) that summation,
 ``error_bound`` and ``terms_for_digits`` all read, so adding a series is
 one entry.  The F1-F3 formulas are the ``CORRECTION_TERMS`` table.
 
+Summation is one running-sum kernel, ``_running_sums``, that yields the
+partial sum after each term; a single n-term value is its last item.
+``leibniz_sweep`` reads the same kernel once to give the plain and the
+F1-F3 corrected Leibniz values for every n up to a bound in O(n) terms,
+each bit-identical to ``leibniz_partial`` / ``leibniz_corrected``.
+
 ``pi_reference`` is the one source of pi: the sqrt12 series, computed
 once per scale and memoised; every module that needs pi reads it.
 
@@ -36,9 +42,10 @@ Python integers and immediately wrapped; all accumulation is FixedDec.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bigfixed import (
     BigNat,
@@ -161,8 +168,9 @@ def _series(series_id: str) -> SeriesDef:
         raise ValueError(f"unknown series id {series_id!r}") from None
 
 
-def _partial_sum(series: SeriesDef, n: int, scale: int) -> FixedDec:
-    """lead + sum_{k=1..n} sign_k * term(k), each quotient truncated at scale."""
+def _running_sums(series: SeriesDef, n: int, scale: int) -> Iterator[FixedDec]:
+    """lead + sum_{k=1..m} sign_k * term(k) for m = 1..n, each quotient
+    truncated at scale."""
     acc = fd_from_ratio(*series.lead, 1, scale) if series.lead else FixedDec.from_int(0, scale)
     step = -1 if series.alternating else 1
     sign = 1
@@ -170,7 +178,12 @@ def _partial_sum(series: SeriesDef, n: int, scale: int) -> FixedDec:
         num, den = series.term(k)
         acc = fd_add(acc, fd_from_ratio(num, den, sign, scale))
         sign *= step
-    return acc
+        yield acc
+
+
+def _partial_sum(series: SeriesDef, n: int, scale: int) -> FixedDec:
+    """The n-th running sum (n >= 1)."""
+    return deque(_running_sums(series, n, scale), maxlen=1).pop()
 
 
 def _multiplier(series: SeriesDef, scale: int) -> FixedDec:
@@ -202,16 +215,35 @@ def correction_term(n: int, variant: str, scale: int) -> FixedDec:
     return fd_from_ratio(num, den, 1, scale)
 
 
-def leibniz_corrected(n: int, variant: str, scale: int) -> FixedDec:
-    """4 * (n-term Leibniz sum + (-1)**n * F_variant(n)).
+def _corrected(partial: FixedDec, n: int, corr: FixedDec) -> FixedDec:
+    """4 * (partial + (-1)**n * corr) for the n-term Leibniz partial sum.
 
     The correction sign follows the series: it continues the alternation
     after the n-th term.
     """
+    s = fd_add(partial, corr if n % 2 == 0 else -corr)
+    return fd_mul(s, _multiplier(SERIES[LEIBNIZ], partial.scale))
+
+
+def leibniz_corrected(n: int, variant: str, scale: int) -> FixedDec:
+    """4 * (n-term Leibniz sum + (-1)**n * F_variant(n))."""
     corr = correction_term(n, variant, scale)
+    return _corrected(_partial_sum(SERIES[LEIBNIZ], n, scale), n, corr)
+
+
+def leibniz_sweep(n_max: int, scale: int) -> Iterator[tuple[int, dict[str, FixedDec]]]:
+    """(n, {mode: value}) for n = 1..n_max and every mode in CORRECTIONS,
+    from one pass over the Leibniz terms.  Each value is bit-identical to
+    leibniz_partial(n, scale) or leibniz_corrected(n, mode, scale).
+    n_max is checked against the term cap when iteration starts."""
+    _check_terms(n_max)
     series = SERIES[LEIBNIZ]
-    s = fd_add(_partial_sum(series, n, scale), corr if n % 2 == 0 else -corr)
-    return fd_mul(s, _multiplier(series, scale))
+    multiplier = _multiplier(series, scale)
+    for n, partial in enumerate(_running_sums(series, n_max, scale), 1):
+        values = {NO_CORRECTION: fd_mul(partial, multiplier)}
+        for variant in CORRECTION_TERMS:
+            values[variant] = _corrected(partial, n, correction_term(n, variant, scale))
+        yield n, values
 
 
 def aux_series(series_id: str, n: int, scale: int) -> FixedDec:

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
-from madhava.cli import build_parser, build_verify_report, main
-from madhava.pi_series import SCALE_CAP
+import madhava.cli as cli
+from madhava.cli import TRIG_TERM_CAP, build_parser, build_verify_report, main
+from madhava.pi_series import GUARD, SCALE_CAP
+from madhava.trig_series import sin_terms_for
 
 
 def run_cli(capsys, *argv):
@@ -91,6 +93,20 @@ class TestVerifyCommand:
         names = [c.name for c in report.checks]
         assert names == ["madhava_pi_10_decimals", "circumference_delta",
                          "venvaroha_epoch", "sine_table_8_digits", "correction_hierarchy"]
+
+    def test_hierarchy_reports_a_violation(self, monkeypatch):
+        sweep = cli.leibniz_sweep
+
+        def broken(n_max, scale):
+            for n, values in sweep(n_max, scale):
+                if n == 7:
+                    values = {**values, "f3": values["f2"]}  # err(F3) == err(F2)
+                yield n, values
+
+        monkeypatch.setattr(cli, "leibniz_sweep", broken)
+        check = cli._check_hierarchy()
+        assert not check.passed
+        assert check.computed == "violated at n=7"
 
 
 class TestConvergeCommand:
@@ -230,6 +246,44 @@ class TestScaleCap:
             assert parser.parse_args(["trig", "table", "--scale", value]).scale == int(value)
             args = parser.parse_args(["pi", "--series", "sqrt12", "--terms", "1", "--digits", value])
             assert args.digits == int(value)
+
+
+class TestTrigTermCap:
+    @pytest.mark.parametrize("terms", [str(TRIG_TERM_CAP + 1), "1000000000", "-1"])
+    def test_refused_before_any_output(self, terms, capsys):
+        # refused while parsing, before any coefficient is built
+        with pytest.raises(SystemExit) as exc:
+            main(["trig", "eval", "--fn", "sin", "--degrees", "30",
+                  "--terms", terms, "--scale", "10"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_cap_admits_its_bounds(self):
+        parser = build_parser()
+        base = ["trig", "eval", "--fn", "sin", "--degrees", "30"]
+        assert parser.parse_args(base).terms == 0
+        assert parser.parse_args([*base, "--terms", "0"]).terms == 0
+        assert parser.parse_args([*base, "--terms", str(TRIG_TERM_CAP)]).terms == TRIG_TERM_CAP
+
+    def test_cap_is_the_largest_admitted_need(self):
+        assert TRIG_TERM_CAP == sin_terms_for(SCALE_CAP + GUARD, 3142) == 488
+
+
+class TestBrokenPipe:
+    def test_closed_reader_exits_141_quietly(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "madhava.cli", "converge", "--series", "leibniz",
+             "--n-max", "1000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            assert proc.stdout.readline() == b"series,correction,n,value,abs_error\n"
+            proc.stdout.close()
+            code = proc.wait(timeout=120)
+        finally:
+            proc.kill()
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+        assert code == 141
 
 
 class TestDeterminism:

@@ -16,10 +16,12 @@ from madhava.pi_series import (
     AUX_B,
     AUX_C,
     AUX_D,
+    DEFAULT_TERM_CAP,
     F1,
     F2,
     F3,
     LEIBNIZ,
+    NO_CORRECTION,
     SQRT12,
     SeriesSpec,
     TermCountError,
@@ -31,6 +33,7 @@ from madhava.pi_series import (
     evaluate,
     leibniz_corrected,
     leibniz_partial,
+    leibniz_sweep,
     madhava_pi_value,
     pi_reference,
     pi_sqrt12,
@@ -90,6 +93,50 @@ class TestCorrections:
             for variant in (F1, F2, F3):
                 errs.append(abs(as_fraction(leibniz_corrected(n, variant, scale)) - pi_ref))
             assert errs[3] < errs[2] < errs[1] < errs[0], f"hierarchy broken at n={n}"
+
+
+def sweep_oracle(n_max, scale):
+    """Plain-int model of leibniz_sweep: (n, {mode: signed mantissa}),
+    each quotient floored at the scale before its sign is applied."""
+    unit = 10**scale
+    formulas = {F1: lambda n: (1, 4 * n), F2: lambda n: (n, 4 * n * n + 1),
+                F3: lambda n: (n * n + 1, n * (4 * n * n + 5))}
+    total = 0
+    for n in range(1, n_max + 1):
+        sign = 1 if n % 2 else -1  # sign of the n-th term; the correction's is -sign
+        total += sign * (unit // (2 * n - 1))
+        values = {NO_CORRECTION: 4 * total}
+        for mode, formula in formulas.items():
+            num, den = formula(n)
+            values[mode] = 4 * (total - sign * (num * unit // den))
+        yield n, values
+
+
+def parts(x):
+    return x.sign * x.mantissa.to_int(), x.scale
+
+
+class TestLeibnizSweep:
+    @pytest.mark.parametrize("scale", [6, 18, 40])
+    def test_matches_int_oracle(self, scale):
+        got = [(n, {mode: parts(v) for mode, v in values.items()})
+               for n, values in leibniz_sweep(60, scale)]
+        want = [(n, {mode: (m, scale) for mode, m in values.items()})
+                for n, values in sweep_oracle(60, scale)]
+        assert got == want
+
+    @pytest.mark.parametrize("scale", [6, 18, 40])
+    def test_bit_identical_to_single_calls(self, scale):
+        for n, values in leibniz_sweep(60, scale):
+            assert parts(values[NO_CORRECTION]) == parts(leibniz_partial(n, scale))
+            for variant in (F1, F2, F3):
+                assert parts(values[variant]) == parts(leibniz_corrected(n, variant, scale))
+
+    def test_term_count_checked(self):
+        with pytest.raises(ValueError):
+            next(leibniz_sweep(0, 6))
+        with pytest.raises(TermCountError):
+            next(leibniz_sweep(DEFAULT_TERM_CAP + 1, 6))
 
 
 class TestAuxSeries:
