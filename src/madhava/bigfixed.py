@@ -15,8 +15,11 @@ here; no float ever touches a computation path.
     keeps results bit-reproducible and plays nicely with alternating
     series error analysis; callers absorb the drift with guard digits.
 
-Schoolbook algorithms throughout (operands stay under ~200 digits, so
-asymptotically fast arithmetic would be pure overhead).  All values are
+Schoolbook algorithms throughout.  Operands range from a few limbs to
+a few thousand digits (``--scale`` goes up to 2000, and a 1000-digit pi
+multiplies and divides 1000-digit mantissas); the series kernels keep
+their divisors to one limb where they can, since a one-limb division is
+linear while Knuth division is quadratic.  All values are
 immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
 """

@@ -71,8 +71,8 @@ DEFAULT_SCALE = 20
 DEFAULT_DIGITS = 20
 DEFAULT_TABLE_SCALE = 10
 # sin_terms_for(SCALE_CAP + GUARD, 3142): the most sine terms any admitted
-# scale needs on |theta| <= pi.  Stored, because computing it takes about
-# 70 ms; tests/test_cli.py checks the two agree.
+# scale needs on |theta| <= pi.  Stored, so that no process pays for the
+# search at import; tests/test_cli.py checks the two agree.
 TRIG_TERM_CAP = 488
 
 

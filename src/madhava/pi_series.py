@@ -15,13 +15,22 @@ appended after n Leibniz terms, the classical 13-digit fraction
 2,827,433,388,233 / 9e11, and the circumference cross-check for a circle
 of diameter 9e11.
 
-Each series is one ``SeriesDef`` entry in ``SERIES`` (exact terms,
+Each series is one ``SeriesDef`` entry in ``SERIES`` (a constant
+numerator, the k-th denominator, an optional geometric ratio,
 multiplier, signs, lead constant, tail bound) that summation,
 ``error_bound`` and ``terms_for_digits`` all read, so adding a series is
 one entry.  The F1-F3 formulas are the ``CORRECTION_TERMS`` table.
+sqrt12 is the odd reciprocal 1/(2k-1) with ratio 3, so its k-th term is
+1/((2k-1) * 3**(k-1)).
 
 Summation is one running-sum kernel, ``_running_sums``, that yields the
 partial sum after each term; a single n-term value is its last item.
+The kernel shifts the numerator to the scale once and divides that
+shared value by each term's denominator (and, for a series with a
+ratio, by the ratio once per term), so sqrt12 divides only by one limb
+(3 or 2k-1) and a term costs O(scale) rather than a Knuth division by a
+scale-digit denominator; the mantissas are those of the full quotient,
+bit for bit.
 ``leibniz_sweep`` reads the same kernel once to give the plain and the
 F1-F3 corrected Leibniz values for every n up to a bound in O(n) terms,
 each bit-identical to ``leibniz_partial`` / ``leibniz_corrected``.
@@ -77,32 +86,42 @@ GUARD = 10
 
 @dataclass(frozen=True)
 class SeriesDef:
-    """pi ~ multiplier * (lead + sum_{k=1..n} sign_k * term(k)), with
-    term(k) = (num, den) for k >= 1, sign_k = (-1)**(k-1) when alternating,
-    and the multiplier's square root when root is set.  tail(n) bounds the
-    omitted terms; the default, the first omitted term, suits alternating
-    series with decreasing terms."""
+    """pi ~ multiplier * (lead + sum_{k=1..n} sign_k * num / (den(k) *
+    ratio**(k-1))), with sign_k = (-1)**(k-1) when alternating and the
+    multiplier's square root when root is set.  The numerator is one
+    constant, so a ratio above 1 is a geometric factor the kernel can
+    divide out one step at a time.  tail(n) bounds the omitted terms; the
+    default, the first omitted term, suits alternating series with
+    decreasing terms."""
 
-    term: Callable[[int], tuple[int, int]]
+    den: Callable[[int], int]
     multiplier: int
+    num: int = 1
     root: bool = False
     alternating: bool = True
     lead: tuple[int, int] | None = None
     tail: Callable[[int], tuple[int, int]] | None = None
+    ratio: int = 1
+
+    def exact_term(self, k: int) -> tuple[int, int]:
+        """The k-th term as one exact (num, den), the geometric factor
+        folded into den."""
+        return self.num, self.den(k) * self.ratio ** (k - 1)
 
     def tail_bound(self, n: int) -> tuple[int, int]:
-        return self.tail(n) if self.tail else self.term(n + 1)
+        return self.tail(n) if self.tail else self.exact_term(n + 1)
 
 
 SERIES: dict[str, SeriesDef] = {
-    LEIBNIZ: SeriesDef(lambda k: (1, 2 * k - 1), 4),
-    AUX_A: SeriesDef(lambda k: (1, (2 * k + 1) ** 3 - (2 * k + 1)), 4, lead=(3, 4)),
+    LEIBNIZ: SeriesDef(lambda k: 2 * k - 1, 4),
+    AUX_A: SeriesDef(lambda k: (2 * k + 1) ** 3 - (2 * k + 1), 4, lead=(3, 4)),
     # all terms positive; 1/((4k-3)(4k-1)) <= 1/(8k-6) - 1/(8k+2) telescopes
-    AUX_B: SeriesDef(lambda k: (1, (4 * k - 2) ** 2 - 1), 8, alternating=False,
+    AUX_B: SeriesDef(lambda k: (4 * k - 2) ** 2 - 1, 8, alternating=False,
                      tail=lambda n: (1, 8 * n + 2)),
-    AUX_C: SeriesDef(lambda k: (4, (2 * k - 1) ** 5 + 4 * (2 * k - 1)), 4),
-    AUX_D: SeriesDef(lambda k: (1, (2 * k) ** 2 - 1), 4, lead=(1, 2)),
-    SQRT12: SeriesDef(lambda k: (1, (2 * k - 1) * 3 ** (k - 1)), 12, root=True),
+    AUX_C: SeriesDef(lambda k: (2 * k - 1) ** 5 + 4 * (2 * k - 1), 4, num=4),
+    AUX_D: SeriesDef(lambda k: (2 * k) ** 2 - 1, 4, lead=(1, 2)),
+    # Leibniz's odd reciprocals with ratio 3: arctan(1/sqrt(3)) = pi/6
+    SQRT12: SeriesDef(lambda k: 2 * k - 1, 12, root=True, ratio=3),
 }
 SERIES_IDS = tuple(SERIES)
 
@@ -169,14 +188,26 @@ def _series(series_id: str) -> SeriesDef:
 
 
 def _running_sums(series: SeriesDef, n: int, scale: int) -> Iterator[FixedDec]:
-    """lead + sum_{k=1..m} sign_k * term(k) for m = 1..n, each quotient
-    truncated at scale."""
+    """lead + sum_{k=1..m} sign_k * exact_term(k) for m = 1..n, each
+    quotient truncated at scale.
+
+    The kernel carries scaled = floor(num * 10**scale / ratio**(k-1)),
+    takes the k-th mantissa as scaled // den(k) and, for a ratio above 1,
+    divides scaled by the ratio once per term.  Since floor(floor(x / a)
+    / b) = floor(x / (a * b)) for positive integers, every mantissa equals
+    fd_from_ratio(*exact_term(k)).  For sqrt12 both divisors fit one limb
+    (3 and 2k - 1), so a term costs O(scale) instead of a division by an
+    O(scale)-digit denominator; every series is spared the per-term shift.
+    """
     acc = fd_from_ratio(*series.lead, 1, scale) if series.lead else FixedDec.from_int(0, scale)
     step = -1 if series.alternating else 1
     sign = 1
+    ratio = BigNat.from_int(series.ratio)
+    scaled = BigNat.from_int(series.num).shift10(scale)
     for k in range(1, n + 1):
-        num, den = series.term(k)
-        acc = fd_add(acc, fd_from_ratio(num, den, sign, scale))
+        acc = fd_add(acc, FixedDec(sign, scaled // BigNat.from_int(series.den(k)), scale))
+        if series.ratio > 1:
+            scaled //= ratio
         sign *= step
         yield acc
 

@@ -153,12 +153,16 @@ def sin_terms_for(digits: int, theta_bound_milli: int = 1571) -> int:
     below 10**-digits for |theta| <= theta_bound_milli/1000.
 
     Defaults to 1.571, an upper bound for pi/2; pass 3142 for the full
-    [-pi, pi] domain.  Exact integer comparison throughout.
+    [-pi, pi] domain.  Exact integer comparison throughout; both sides
+    are running products, so the search is linear in the answer.
     """
     n = 1
-    while (theta_bound_milli ** (2 * n + 1) * 10**digits
-           >= factorial(2 * n + 1) * 1000 ** (2 * n + 1)):
+    lhs = theta_bound_milli**3 * 10**digits  # theta**(2n+1) * 10**digits
+    rhs = 6 * 1000**3  # (2n+1)! * 1000**(2n+1)
+    while lhs >= rhs:
         n += 1
+        lhs *= theta_bound_milli**2
+        rhs *= 2 * n * (2 * n + 1) * 1000**2
     return n
 
 

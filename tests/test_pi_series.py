@@ -7,9 +7,11 @@ plain ints.
 """
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
+from madhava import bigfixed
 from madhava.bigfixed import FixedDec, fd_from_string, fd_mul, fd_rescale, fd_to_string
 from madhava.pi_series import (
     AUX_A,
@@ -22,8 +24,12 @@ from madhava.pi_series import (
     F3,
     LEIBNIZ,
     NO_CORRECTION,
+    SERIES,
+    SERIES_IDS,
     SQRT12,
     SeriesSpec,
+    _partial_sum,
+    _running_sums,
     TermCountError,
     arctan_series,
     aux_series,
@@ -206,6 +212,59 @@ class TestSqrt12:
         assert abs(as_fraction(v) - PI_50) < Fraction(1, 10**14)
         # and agrees with the fraction through its 10 good decimals
         assert fd_to_string(fd_rescale(v, 10)) == fd_to_string(madhava_pi_value(10))
+
+    def test_exact_term_folds_in_the_ratio(self):
+        for k in range(1, 61):
+            assert SERIES[SQRT12].exact_term(k) == (1, (2 * k - 1) * 3 ** (k - 1))
+
+
+def sqrt12_oracle(n, scale):
+    """Plain-int model of pi_sqrt12: each term floored at the scale with
+    its full denominator, the sum times the floored root of 12."""
+    unit = 10**scale
+    total = sum((-1) ** (k - 1) * (unit // ((2 * k - 1) * 3 ** (k - 1)))
+                for k in range(1, n + 1))
+    return isqrt(12 * unit * unit) * total // unit
+
+
+class TestSqrt12Kernel:
+    @pytest.mark.parametrize("scale", [5, 40, 310, 610])
+    def test_matches_int_oracle(self, scale):
+        # the last n runs past the term where 3**(k-1) exceeds 10**scale
+        # and the running numerator reaches zero
+        past_zero = 21 * scale // 10 + 3
+        assert 3 ** (past_zero - 1) > 10**scale
+        for n in (1, 2, terms_for_digits(SQRT12, scale), past_zero):
+            assert parts(pi_sqrt12(n, scale)) == (sqrt12_oracle(n, scale), scale)
+
+    def test_divides_by_one_limb_only(self, monkeypatch):
+        # a full-denominator division would cost O(scale**2) per term
+        divisor_limbs = []
+        divrem = bigfixed._divrem_limbs
+
+        def recording(a, b):
+            divisor_limbs.append(len(b))
+            return divrem(a, b)
+
+        monkeypatch.setattr(bigfixed, "_divrem_limbs", recording)
+        _partial_sum(SERIES[SQRT12], 1300, 620)
+        assert len(divisor_limbs) >= 1300
+        assert set(divisor_limbs) == {1}
+
+
+class TestRunningSums:
+    @pytest.mark.parametrize("series_id", SERIES_IDS)
+    def test_every_series_matches_int_oracle(self, series_id):
+        # each running sum is the lead plus the full-denominator quotients
+        # num * 10**scale // exact_term den, signed, at every m
+        series, scale = SERIES[series_id], 37
+        unit = 10**scale
+        total = series.lead[0] * unit // series.lead[1] if series.lead else 0
+        for k, acc in enumerate(_running_sums(series, 90, scale), 1):
+            num, den = series.exact_term(k)
+            sign = (-1) ** (k - 1) if series.alternating else 1
+            total += sign * (num * unit // den)
+            assert parts(acc) == (total, scale)
 
 
 class TestMadhavaFraction:

@@ -3,6 +3,7 @@ shift-formula error order, angle-addition identities."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -218,6 +219,19 @@ class TestSineTable:
         # table's eight-digit claim needs 7 terms (11 comfortably suffice)
         assert sin_terms_for(9) == 7
         assert sin_terms_for(12) == 9
+
+    @pytest.mark.parametrize("theta_bound_milli", [1, 100, 1571, 3142, 5000])
+    def test_terms_match_direct_search(self, theta_bound_milli):
+        # the search with every power and factorial recomputed per step
+        def direct(digits):
+            n = 1
+            while (theta_bound_milli ** (2 * n + 1) * 10**digits
+                   >= factorial(2 * n + 1) * 1000 ** (2 * n + 1)):
+                n += 1
+            return n
+
+        for digits in range(0, 401, 4):
+            assert sin_terms_for(digits, theta_bound_milli) == direct(digits)
 
 
 class TestTaylorShift:
