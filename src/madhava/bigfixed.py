@@ -15,17 +15,21 @@ here; no float ever touches a computation path.
     keeps results bit-reproducible and plays nicely with alternating
     series error analysis; callers absorb the drift with guard digits.
 
-Schoolbook algorithms throughout.  Operands range from a few limbs to
-a few thousand digits (``--scale`` goes up to 2000, and a 1000-digit pi
-multiplies and divides 1000-digit mantissas); the series kernels keep
-their divisors to one limb where they can, since a one-limb division is
-linear while Knuth division is quadratic.  All values are
-immutable after construction and every operation is a pure function, so
-everything here is safe to share across threads.
+Operands range from a few limbs to a few thousand digits (``--scale``
+goes up to 2000, and a 1000-digit pi multiplies and divides 1000-digit
+mantissas).  The linear operations (add, subtract, compare, division by
+one limb, decimal down-shift) run as limb loops; the quadratic ones
+(multi-limb division, products, decimal up-shift, the integer square
+root) convert to Python ``int`` and back, since CPython does those
+textbook algorithms in C.  The series kernels keep their divisors to one
+limb where they can.  All values are immutable after construction and
+every operation is a pure function, so everything here is safe to share
+across threads.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 BASE = 10**9
@@ -81,22 +85,6 @@ def _sub_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     return _trim(out)
 
 
-def _mul_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b))
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        carry = 0
-        for j, bj in enumerate(b):
-            cur = out[i + j] + ai * bj + carry
-            carry = cur // BASE
-            out[i + j] = cur - carry * BASE
-        out[i + len(b)] += carry
-    return _trim(out)
-
-
 def _cmp_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> int:
     if len(a) != len(b):
         return -1 if len(a) < len(b) else 1
@@ -118,68 +106,15 @@ def _divrem_small(a: tuple[int, ...], d: int) -> tuple[list[int], int]:
 
 
 def _divrem_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
-    """Knuth algorithm D in base 10**9.  Requires b nonzero."""
+    """Floor quotient and remainder.  Requires b nonzero.  A one-limb
+    divisor runs the linear limb loop; a longer one goes through int."""
     if _cmp_limbs(a, b) < 0:
         return [], list(a)
     if len(b) == 1:
         q, r = _divrem_small(a, b[0])
         return q, [r] if r else []
-
-    # D1: normalize so the top divisor limb is >= BASE // 2
-    shift = BASE // (b[-1] + 1)
-    if shift > 1:
-        u = _mul_limbs(a, (shift,))
-        v = tuple(_mul_limbs(b, (shift,)))
-    else:
-        u = list(a)
-        v = b
-    n = len(v)
-    m = len(u) - n
-    u.append(0)
-    vt, vs = v[-1], v[-2]
-
-    q = [0] * (m + 1)
-    for j in range(m, -1, -1):
-        # D3: estimate the quotient limb from the top two remainder limbs
-        num = u[j + n] * BASE + u[j + n - 1]
-        qhat = num // vt
-        rhat = num - qhat * vt
-        while qhat >= BASE or qhat * vs > rhat * BASE + u[j + n - 2]:
-            qhat -= 1
-            rhat += vt
-            if rhat >= BASE:
-                break
-        # D4: multiply and subtract qhat * v from u[j .. j+n]
-        borrow = 0
-        for i in range(n):
-            p = qhat * v[i] + borrow
-            borrow = p // BASE
-            sub = u[i + j] - (p - borrow * BASE)
-            if sub < 0:
-                sub += BASE
-                borrow += 1
-            u[i + j] = sub
-        if u[j + n] < borrow:
-            # D6: qhat was one too large; add v back
-            qhat -= 1
-            carry = 0
-            for i in range(n):
-                t = u[i + j] + v[i] + carry
-                if t >= BASE:
-                    u[i + j] = t - BASE
-                    carry = 1
-                else:
-                    u[i + j] = t
-                    carry = 0
-            u[j + n] += carry - borrow
-        else:
-            u[j + n] -= borrow
-        q[j] = qhat
-
-    rem = _trim(u[:n])
-    if shift > 1:
-        rem, _ = _divrem_small(tuple(rem), shift)
-    return _trim(q), rem
+    q, r = divmod(BigNat(a).to_int(), BigNat(b).to_int())
+    return list(BigNat.from_int(q).limbs), list(BigNat.from_int(r).limbs)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +212,7 @@ class BigNat:
         return BigNat(tuple(_sub_limbs(self.limbs, other.limbs)))
 
     def __mul__(self, other: "BigNat") -> "BigNat":
-        return BigNat(tuple(_mul_limbs(self.limbs, other.limbs)))
+        return BigNat.from_int(self.to_int() * other.to_int())
 
     def __divmod__(self, other: "BigNat") -> tuple["BigNat", "BigNat"]:
         if other.is_zero():
@@ -292,16 +227,12 @@ class BigNat:
         return divmod(self, other)[1]
 
     def shift10(self, k: int) -> "BigNat":
-        """Exact multiply by 10**k (k >= 0): limb shift plus a small multiply."""
+        """Exact multiply by 10**k (k >= 0)."""
         if k < 0:
             raise ValueError("shift10 takes k >= 0; use unshift10 to scale down")
         if self.is_zero() or k == 0:
             return self
-        whole, rest = divmod(k, LIMB_DIGITS)
-        limbs = (0,) * whole + self.limbs
-        if rest:
-            limbs = tuple(_mul_limbs(limbs, (10**rest,)))
-        return BigNat(limbs)
+        return BigNat.from_int(self.to_int() * 10**k)
 
     def unshift10(self, k: int) -> "BigNat":
         """Floor-divide by 10**k (k >= 0): drops the k lowest decimal digits."""
@@ -316,20 +247,11 @@ class BigNat:
         return BigNat(tuple(_trim(list(limbs))))
 
     def isqrt(self) -> "BigNat":
-        """Largest r with r*r <= self (Newton iteration on integers)."""
-        if self.is_zero():
-            return self
-        # start above the true root: 10**ceil(digits / 2)
-        x = _NAT_ONE.shift10((self.num_digits() + 1) // 2)
-        while True:
-            y = BigNat(tuple(_divrem_small((x + self // x).limbs, 2)[0]))
-            if y._cmp(x) >= 0:
-                return x
-            x = y
+        """Largest r with r*r <= self."""
+        return BigNat.from_int(math.isqrt(self.to_int()))
 
 
 _NAT_ZERO = BigNat()
-_NAT_ONE = BigNat((1,))
 
 
 def _as_nat(v) -> BigNat:
@@ -348,7 +270,7 @@ def nat_add(a: BigNat, b: BigNat) -> BigNat:
 
 
 def nat_mul(a: BigNat, b: BigNat) -> BigNat:
-    """Exact schoolbook product."""
+    """Exact product."""
     return _as_nat(a) * _as_nat(b)
 
 
@@ -502,11 +424,7 @@ def fd_div(a: FixedDec, b: FixedDec, scale: int) -> FixedDec:
     """Quotient truncated toward zero at the requested scale."""
     if b.is_zero():
         raise ZeroDivisionError("fd_div by zero")
-    shift = scale + b.scale - a.scale
-    if shift >= 0:
-        num = a.mantissa.shift10(shift)
-    else:
-        num = a.mantissa.unshift10(-shift)
+    num = fd_rescale(a, scale + b.scale).mantissa
     return FixedDec(a.sign * b.sign, num // b.mantissa, scale)
 
 
@@ -516,11 +434,7 @@ def fd_divn(a: FixedDec, n, scale: int | None = None) -> FixedDec:
     if n.is_zero():
         raise ZeroDivisionError("fd_divn by zero")
     scale = a.scale if scale is None else scale
-    if scale >= a.scale:
-        num = a.mantissa.shift10(scale - a.scale)
-    else:
-        num = a.mantissa.unshift10(a.scale - scale)
-    return FixedDec(a.sign, num // n, scale)
+    return FixedDec(a.sign, fd_rescale(a, scale).mantissa // n, scale)
 
 
 def fd_rescale(a: FixedDec, scale: int) -> FixedDec:
@@ -551,12 +465,7 @@ def fd_isqrt(a: FixedDec, scale: int) -> FixedDec:
     of 10**-scale) with r*r <= a."""
     if a.sign < 0 and not a.is_zero():
         raise ValueError("fd_isqrt of a negative value")
-    shift = 2 * scale - a.scale
-    if shift >= 0:
-        m = a.mantissa.shift10(shift)
-    else:
-        m = a.mantissa.unshift10(-shift)
-    return FixedDec(1, m.isqrt(), scale)
+    return FixedDec(1, fd_rescale(a, 2 * scale).mantissa.isqrt(), scale)
 
 
 def fd_to_string(a: FixedDec) -> str:

@@ -36,13 +36,17 @@ F1-F3 corrected Leibniz values for every n up to a bound in O(n) terms,
 each bit-identical to ``leibniz_partial`` / ``leibniz_corrected``.
 
 ``pi_reference`` is the one source of pi: the sqrt12 series, computed
-once per scale and memoised; every module that needs pi reads it.
+once per scale, proven to truncate to pi by a rounding test and
+memoised; every module that needs pi reads it.
 
 Numerical contract: a call with working scale s sums reciprocals that are
 individually truncated at s, so the result carries the analytic series
-error plus at most (n + a few) * 10**-s of truncation drift.  Callers
-wanting d trustworthy digits follow the guard-digit convention: compute
-at s = d + GUARD and truncate the result to d.
+error plus a truncation drift: each term loses under 10**-s, alternating
+signs cancel about half of that, and the multiplier scales the rest, so
+sqrt12 drifts by at most (1.74n + 4) * 10**-s (``error_bound`` reports
+n + 4; ``pi_reference`` adds n more).  Callers wanting d trustworthy
+digits follow the guard-digit convention: compute at s = d + GUARD and
+truncate the result to d.
 
 The leading constants in aux-a (3/4) and aux-d (1/2) are always included
 and never counted in n.  Term denominators are constructed as exact
@@ -66,6 +70,7 @@ from .bigfixed import (
     fd_mul,
     fd_rescale,
     fd_round,
+    fd_sub,
 )
 
 LEIBNIZ = "leibniz"
@@ -330,14 +335,27 @@ def madhava_pi_value(scale: int) -> FixedDec:
 
 @lru_cache(maxsize=None)
 def pi_reference(scale: int) -> FixedDec:
-    """Reference pi truncated at the given scale: the sqrt12 series with
-    its a-priori bound two digits past the request, summed with guard
-    digits and truncated.  Memoised by scale, so every caller at one
-    scale shares one computation."""
+    """pi truncated at the given scale, proven: the sqrt12 series with its
+    a-priori bound two digits past the request, summed with guard digits
+    to a value v with |v - pi| <= b.  The truncation is returned only when
+    v - b and v + b truncate alike (Ziv's rounding test); otherwise the
+    digit target and the working scale both grow by GUARD and it retries,
+    which ends because pi is irrational.  Memoised by scale, so every
+    caller at one scale shares one computation."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    n = terms_for_digits(SQRT12, scale + 2)
-    return fd_rescale(pi_sqrt12(n, scale + GUARD), scale)
+    digits, ws = scale + 2, scale + GUARD
+    while True:
+        n = terms_for_digits(SQRT12, digits)
+        v = pi_sqrt12(n, ws)
+        # error_bound's drift counts n + 4 ulp; the signed term truncations
+        # times sqrt(12) reach about 1.74n + 4, so n more ulp covers them
+        b = fd_add(error_bound(SQRT12, n, ws), FixedDec(1, BigNat.from_int(n), ws))
+        low = fd_rescale(fd_sub(v, b), scale)
+        if low == fd_rescale(fd_add(v, b), scale):
+            return low
+        digits += GUARD
+        ws += GUARD
 
 
 @dataclass(frozen=True)

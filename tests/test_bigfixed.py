@@ -13,6 +13,7 @@ from madhava.bigfixed import (
     ScaleMismatchError,
     fd_add,
     fd_div,
+    fd_divn,
     fd_floor_int,
     fd_from_ratio,
     fd_from_string,
@@ -32,6 +33,18 @@ from conftest import as_fraction
 def rand_nat(rng, max_digits=64):
     digits = rng.randrange(0, max_digits + 1)
     return rng.randrange(0, 10**digits) if digits else 0
+
+
+def truncated(q: Fraction, scale: int) -> Fraction:
+    """q truncated toward zero at the scale (int() truncates a Fraction)."""
+    return Fraction(int(q * 10**scale), 10**scale)
+
+
+def assert_canonical(x: FixedDec):
+    limbs = x.mantissa.limbs
+    assert type(limbs) is tuple
+    assert all(type(l) is int and 0 <= l < BASE for l in limbs)
+    assert not limbs or limbs[-1] != 0
 
 
 class TestBigNatRing:
@@ -220,3 +233,67 @@ class TestFixedDec:
         assert fd_from_string("0.50") == fd_from_string("0.5000")
         assert fd_from_string("0.5") < fd_from_string("0.51")
         assert fd_from_string("-0.5") < fd_from_string("0.1")
+
+
+class TestLargeOperands:
+    """The FixedDec contracts at up to about 2000 digits, where products,
+    multi-limb divisions and roots leave the limb loops: every result is
+    the exact truncation of its Fraction value and keeps canonical limbs."""
+
+    @staticmethod
+    def rand_fd(rng, min_digits=0, max_digits=2000):
+        digits = rng.randrange(min_digits, max_digits + 1)
+        mant = rng.randrange(10 ** (digits - 1), 10**digits) if digits else 0
+        return FixedDec(rng.choice((1, -1)), BigNat.from_int(mant), rng.randrange(0, 1000))
+
+    def test_mul(self):
+        rng = random.Random(2000)
+        for _ in range(150):
+            a, b = self.rand_fd(rng), self.rand_fd(rng)
+            out = fd_mul(a, b)
+            assert out.scale == max(a.scale, b.scale)
+            assert as_fraction(out) == truncated(as_fraction(a) * as_fraction(b), out.scale)
+            assert_canonical(out)
+
+    def test_div_by_multi_limb_divisors(self):
+        rng = random.Random(2001)
+        for _ in range(150):
+            a, b = self.rand_fd(rng), self.rand_fd(rng, min_digits=10)
+            scale = rng.randrange(0, 1500)
+            out = fd_div(a, b, scale)
+            assert out.scale == scale
+            assert as_fraction(out) == truncated(as_fraction(a) / as_fraction(b), scale)
+            assert_canonical(out)
+
+    def test_divn_by_multi_limb_naturals(self):
+        rng = random.Random(2002)
+        for _ in range(150):
+            a = self.rand_fd(rng)
+            n = rng.randrange(BASE, 10 ** rng.randrange(10, 1000))
+            scale = rng.choice((None, rng.randrange(0, 1500)))
+            out = fd_divn(a, n, scale)
+            assert out.scale == (a.scale if scale is None else scale)
+            assert as_fraction(out) == truncated(as_fraction(a) / n, out.scale)
+            assert_canonical(out)
+
+    def test_from_ratio(self):
+        rng = random.Random(2003)
+        for _ in range(150):
+            num = rng.randrange(0, 10 ** rng.randrange(1, 2000))
+            den = rng.randrange(BASE, 10 ** rng.randrange(10, 2000))
+            sign, scale = rng.choice((1, -1)), rng.randrange(0, 1500)
+            out = fd_from_ratio(num, den, sign, scale)
+            assert as_fraction(out) == truncated(Fraction(sign * num, den), scale)
+            assert_canonical(out)
+
+    def test_isqrt_floor_bracket(self):
+        rng = random.Random(2004)
+        for _ in range(150):
+            a = abs(self.rand_fd(rng))
+            scale = rng.randrange(0, 1200)
+            r = fd_isqrt(a, scale)
+            fa, fr = as_fraction(a), as_fraction(r)
+            ulp = Fraction(1, 10**scale)
+            assert r.scale == scale and r.sign == 1
+            assert fr * fr <= fa < (fr + ulp) * (fr + ulp)
+            assert_canonical(r)

@@ -45,7 +45,7 @@ from madhava.pi_series import (
     pi_sqrt12,
     terms_for_digits,
 )
-from conftest import PI_50, as_fraction
+from conftest import PI_50, as_fraction, machin_pi_floor
 
 
 def ulp(scale):
@@ -417,6 +417,17 @@ class TestPiReference:
             expected = Fraction(int(PI_50 * 10**s), 10**s)
             assert as_fraction(pi_reference(s)) == expected
             assert pi_reference(s).scale == s
+
+    # the scales up to SCALE_CAP where an unchecked truncation of the
+    # guard-digit value lands one ulp off: at each, the digits of pi after
+    # position s start with 99 or 00, so the value lies within its bound
+    # of a 10**-s boundary
+    @pytest.mark.parametrize("scale", (359, 458, 600, 601, 761, 854, 855,
+                                       1358, 1476, 1607, 1980, 1999))
+    def test_truncates_machin_near_digit_boundaries(self, scale):
+        v = pi_reference(scale)
+        assert v.scale == scale
+        assert v.mantissa.to_int() == machin_pi_floor(scale)
 
     def test_memoised_by_scale(self):
         assert pi_reference(33) is pi_reference(33)
