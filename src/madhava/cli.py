@@ -14,6 +14,10 @@ pure function of the argument vector: identical invocations produce
 byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
 2 usage error, 141 (128 + SIGPIPE) when the reader of stdout closes it
 early, as ``| head`` does.
+
+Each leaf subparser in build_parser attaches its handler with
+``set_defaults(run=cmd_x)`` and main calls ``args.run(args, parser)``;
+decimal arguments arrive parsed, as FixedDec of at most SCALE_CAP digits.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .bigfixed import (
     fd_to_string,
 )
 from .chronology import venvaroha_epoch_check
-from .geometry import NotCyclicError, QuadSides, circumradius
+from .geometry import QuadSides, circumradius
 from .pi_series import (
     CORRECTIONS,
     DEFAULT_TERM_CAP,
@@ -92,15 +96,6 @@ class VerifyReport:
     @property
     def overall_pass(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    series_id: str
-    correction: str
-    n: int
-    value: str
-    abs_error: str
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +235,7 @@ def cmd_pi(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, parser) -> int:
     report = build_verify_report()
     if args.format == "json":
         payload = {
@@ -270,8 +265,7 @@ def _converge_rows(series_list, n_max, corrections, scale):
                 value = evaluate(SeriesSpec(series_id, n, mode, ws)).value
                 out = fd_rescale(value, scale)
                 err = abs(fd_sub(out, pi_ref))
-                yield ConvergenceRow(series_id=series_id, correction=mode, n=n,
-                                     value=fd_to_string(out), abs_error=fd_to_string(err))
+                yield f"{series_id},{mode},{n},{fd_to_string(out)},{fd_to_string(err)}"
 
 
 def cmd_converge(args, parser) -> int:
@@ -286,26 +280,21 @@ def cmd_converge(args, parser) -> int:
     if args.n_max > DEFAULT_TERM_CAP:
         raise TermCountError(f"--n-max {args.n_max} is above the term cap of {DEFAULT_TERM_CAP}")
     print("series,correction,n,value,abs_error")
-    for row in _converge_rows(series_list, args.n_max, args.corrections, args.scale):
-        print(f"{row.series_id},{row.correction},{row.n},{row.value},{row.abs_error}")
+    for line in _converge_rows(series_list, args.n_max, args.corrections, args.scale):
+        print(line)
     return 0
 
 
-def _angle_from_args(degrees: str | None, radians: str | None, scale: int) -> Angle:
-    if degrees is not None:
-        return Angle.from_degrees(fd_from_string(degrees), scale + GUARD)
-    return Angle(fd_from_string(radians))
-
-
 def cmd_trig_eval(args, parser) -> int:
-    angle = _angle_from_args(args.degrees, args.radians, args.scale)
+    angle = (Angle(args.radians) if args.degrees is None
+             else Angle.from_degrees(args.degrees, args.scale + GUARD))
     terms = args.terms if args.terms else sin_terms_for(args.scale, 3142)
     fn = {"sin": sin_series, "cos": cos_series, "sinsq": sin_sq_series}[args.fn]
     print(fd_to_string(fn(angle, terms, args.scale)))
     return 0
 
 
-def cmd_trig_table(args) -> int:
+def cmd_trig_table(args, parser) -> int:
     table = build_sine_table(args.scale)
     print("k,degrees,sin")
     for k, value in table.entries:
@@ -314,34 +303,29 @@ def cmd_trig_table(args) -> int:
     return 0
 
 
-def cmd_trig_shift(args) -> int:
-    u = Angle.from_degrees(fd_from_string(args.u_degrees), args.scale + GUARD)
-    h = fd_from_string(args.h)
+def cmd_trig_shift(args, parser) -> int:
+    u = Angle.from_degrees(args.u_degrees, args.scale + GUARD)
     fn = taylor_shift_sin if args.fn == "sin" else taylor_shift_cos
-    print(fd_to_string(fn(u, h, args.scale)))
+    print(fd_to_string(fn(u, args.h, args.scale)))
     return 0
 
 
-def cmd_trig_addrule(args) -> int:
-    x = Angle.from_degrees(fd_from_string(args.x_degrees), args.scale + GUARD)
-    y = Angle.from_degrees(fd_from_string(args.y_degrees), args.scale + GUARD)
+def cmd_trig_addrule(args, parser) -> int:
+    x = Angle.from_degrees(args.x_degrees, args.scale + GUARD)
+    y = Angle.from_degrees(args.y_degrees, args.scale + GUARD)
     print(fd_to_string(angle_add(x, y, args.rule, args.scale)))
     return 0
 
 
 def cmd_quad_radius(args, parser) -> int:
-    parts = [p.strip() for p in args.sides.split(",")]
-    if len(parts) != 4:
-        parser.error("--sides takes four comma-separated lengths")
     try:
-        sides = QuadSides(*[fd_from_string(p) for p in parts])
-        print(fd_to_string(circumradius(sides, args.scale)))
-    except (NotCyclicError, ValueError) as exc:
+        print(fd_to_string(circumradius(args.sides, args.scale)))
+    except ValueError as exc:  # also NotCyclicError
         parser.error(str(exc))
     return 0
 
 
-def cmd_chrono_check(args) -> int:
+def cmd_chrono_check(args, parser) -> int:
     rep = venvaroha_epoch_check()
     if args.format == "json":
         payload = {
@@ -383,9 +367,35 @@ def _int_upto(cap: int):
 _digit_count = _int_upto(SCALE_CAP)
 
 
+def _decimal(text: str) -> FixedDec:
+    """argparse type: a decimal [+-]digits[.digits] of at most SCALE_CAP
+    digits, so no input costs more than the largest admitted scale."""
+    if sum(ch.isdigit() for ch in text) > SCALE_CAP:
+        raise argparse.ArgumentTypeError(f"decimal value has more than {SCALE_CAP} digits")
+    try:
+        return fd_from_string(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid decimal value: {text!r}") from None
+
+
+def _sides(text: str) -> QuadSides:
+    """argparse type: four comma-separated decimals."""
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise argparse.ArgumentTypeError("needs four comma-separated lengths")
+    return QuadSides(*(_decimal(p.strip()) for p in parts))
+
+
 def _add_scale(p, default=DEFAULT_SCALE):
     p.add_argument("--scale", type=_digit_count, default=default,
                    help=f"decimal digits of working precision (default: {default})")
+
+
+def _leaf(sub, name: str, run, help: str) -> argparse.ArgumentParser:
+    """A subcommand that main dispatches to run(args, parser)."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -395,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "in exact scaled-decimal arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_pi = sub.add_parser("pi", help="evaluate one pi series")
+    p_pi = _leaf(sub, "pi", cmd_pi, "evaluate one pi series")
     p_pi.add_argument("--series", choices=SERIES_IDS, required=True)
     p_pi.add_argument("--terms", type=int, required=True, help="number of series terms")
     p_pi.add_argument("--correction", choices=CORRECTIONS, default=NO_CORRECTION,
@@ -404,10 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help=f"fractional digits to print (default: {DEFAULT_DIGITS})")
     _add_format(p_pi)
 
-    p_verify = sub.add_parser("verify", help="run the reproduction checks")
-    _add_format(p_verify)
+    _add_format(_leaf(sub, "verify", cmd_verify, "run the reproduction checks"))
 
-    p_conv = sub.add_parser("converge", help="CSV convergence sweep")
+    p_conv = _leaf(sub, "converge", cmd_converge, "CSV convergence sweep")
     p_conv.add_argument("--series", required=True,
                         help="comma-separated series ids, e.g. leibniz,sqrt12")
     p_conv.add_argument("--n-max", type=int, required=True, dest="n_max")
@@ -418,41 +427,41 @@ def build_parser() -> argparse.ArgumentParser:
     p_trig = sub.add_parser("trig", help="sine/cosine series operations")
     trig_sub = p_trig.add_subparsers(dest="trig_command", required=True)
 
-    p_eval = trig_sub.add_parser("eval", help="evaluate sin, cos or sin^2")
+    p_eval = _leaf(trig_sub, "eval", cmd_trig_eval, "evaluate sin, cos or sin^2")
     p_eval.add_argument("--fn", choices=("sin", "cos", "sinsq"), required=True)
     group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--degrees")
-    group.add_argument("--radians")
+    group.add_argument("--degrees", type=_decimal)
+    group.add_argument("--radians", type=_decimal)
     p_eval.add_argument("--terms", type=_int_upto(TRIG_TERM_CAP), default=0,
                         help="series terms, at most "
                              f"{TRIG_TERM_CAP} (default: from the accuracy bound)")
     _add_scale(p_eval)
 
-    p_table = trig_sub.add_parser("table", help="the 24-entry sine table")
-    _add_scale(p_table, DEFAULT_TABLE_SCALE)
+    _add_scale(_leaf(trig_sub, "table", cmd_trig_table, "the 24-entry sine table"),
+               DEFAULT_TABLE_SCALE)
 
-    p_shift = trig_sub.add_parser("shift", help="second-order shift formula")
+    p_shift = _leaf(trig_sub, "shift", cmd_trig_shift, "second-order shift formula")
     p_shift.add_argument("--fn", choices=("sin", "cos"), required=True)
-    p_shift.add_argument("--u-degrees", required=True, dest="u_degrees")
-    p_shift.add_argument("--h", required=True, help="shift in radians, |h| <= 0.5")
+    p_shift.add_argument("--u-degrees", type=_decimal, required=True, dest="u_degrees")
+    p_shift.add_argument("--h", type=_decimal, required=True, help="shift in radians, |h| <= 0.5")
     _add_scale(p_shift)
 
-    p_add = trig_sub.add_parser("addrule", help="angle addition/subtraction rules")
+    p_add = _leaf(trig_sub, "addrule", cmd_trig_addrule, "angle addition/subtraction rules")
     p_add.add_argument("--rule", choices=ADDITION_RULES, required=True)
-    p_add.add_argument("--x-degrees", required=True, dest="x_degrees")
-    p_add.add_argument("--y-degrees", required=True, dest="y_degrees")
+    p_add.add_argument("--x-degrees", type=_decimal, required=True, dest="x_degrees")
+    p_add.add_argument("--y-degrees", type=_decimal, required=True, dest="y_degrees")
     _add_scale(p_add)
 
     p_quad = sub.add_parser("quad", help="cyclic quadrilateral geometry")
     quad_sub = p_quad.add_subparsers(dest="quad_command", required=True)
-    p_radius = quad_sub.add_parser("radius", help="circumradius from four sides")
-    p_radius.add_argument("--sides", required=True, help="four comma-separated lengths")
+    p_radius = _leaf(quad_sub, "radius", cmd_quad_radius, "circumradius from four sides")
+    p_radius.add_argument("--sides", type=_sides, required=True,
+                          help="four comma-separated lengths")
     _add_scale(p_radius)
 
     p_chrono = sub.add_parser("chrono", help="kali-day chronology")
     chrono_sub = p_chrono.add_subparsers(dest="chrono_command", required=True)
-    p_check = chrono_sub.add_parser("check", help="the epoch date check")
-    _add_format(p_check)
+    _add_format(_leaf(chrono_sub, "check", cmd_chrono_check, "the epoch date check"))
 
     return parser
 
@@ -461,28 +470,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "pi":
-            return cmd_pi(args, parser)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "converge":
-            return cmd_converge(args, parser)
-        if args.command == "trig":
-            if args.trig_command == "eval":
-                return cmd_trig_eval(args, parser)
-            if args.trig_command == "table":
-                return cmd_trig_table(args)
-            if args.trig_command == "shift":
-                return cmd_trig_shift(args)
-            return cmd_trig_addrule(args)
-        if args.command == "quad":
-            return cmd_quad_radius(args, parser)
-        if args.command == "chrono":
-            return cmd_chrono_check(args)
+        return args.run(args, parser)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 2
 
 
 def run() -> None:

@@ -195,7 +195,15 @@ def build_sine_table(scale: int) -> SineTable:
     return SineTable(entries=tuple(entries), scale=scale)
 
 
-def _series_pair(u: Angle, terms: int, ws: int) -> tuple[FixedDec, FixedDec]:
+def _half_pi(ws: int) -> FixedDec:
+    """pi/2 truncated at ws.  floor(floor(x) / 2) = floor(x / 2), so any
+    pi_reference scale >= ws gives it; ws + GUARD is the one _power_series
+    at ws has already memoised."""
+    return fd_divn(pi_reference(ws + GUARD), 2, ws)
+
+
+def _sin_cos(u: Angle, ws: int) -> tuple[FixedDec, FixedDec]:
+    terms = sin_terms_for(ws)
     return sin_series(u, terms, ws), cos_series(u, terms, ws)
 
 
@@ -216,12 +224,10 @@ def taylor_shift_cos(u: Angle, h: FixedDec, scale: int) -> FixedDec:
 
 def _taylor_shift(u: Angle, h: FixedDec, scale: int, which: str) -> FixedDec:
     ws = scale + GUARD
-    half_pi = fd_divn(pi_reference(ws + 1), 2, ws)
-    _check_domain(u, half_pi, "pi/2")
+    _check_domain(u, _half_pi(ws), "pi/2")
     if abs(fd_rescale(h, ws)) > fd_from_ratio(1, 2, 1, ws):
         raise ValueError("shift step must satisfy |h| <= 0.5")
-    terms = sin_terms_for(ws)
-    s, c = _series_pair(u, terms, ws)
+    s, c = _sin_cos(u, ws)
     hw = fd_rescale(h, ws)
     h2_half = fd_divn(fd_mul(hw, hw), 2)
     if which == SIN:
@@ -244,15 +250,14 @@ def angle_add(x: Angle, y: Angle, which: str, scale: int) -> FixedDec:
     if which not in ADDITION_RULES:
         raise ValueError(f"unknown addition rule {which!r}")
     ws = scale + GUARD
-    half_pi = fd_divn(pi_reference(ws + 1), 2, ws)
+    half_pi = _half_pi(ws)
     _check_domain(x, half_pi, "pi/2")
     _check_domain(y, half_pi, "pi/2")
     xw, yw = fd_rescale(x.radians, ws), fd_rescale(y.radians, ws)
     combined = fd_add(xw, yw) if which.endswith("sum") else fd_sub(xw, yw)
     _check_domain(Angle(combined), half_pi, "pi/2")
-    terms = sin_terms_for(ws)
-    sx, cx = _series_pair(x, terms, ws)
-    sy, cy = _series_pair(y, terms, ws)
+    sx, cx = _sin_cos(x, ws)
+    sy, cy = _sin_cos(y, ws)
     if which == SIN_SUM:
         out = fd_add(fd_mul(sx, cy), fd_mul(cx, sy))
     elif which == SIN_DIFF:

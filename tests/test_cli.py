@@ -232,6 +232,8 @@ class TestScaleCap:
         ("trig", "eval", "--fn", "sin", "--degrees", "30", "--scale", "100000"),
         ("trig", "table", "--scale", "2001"),
         ("quad", "radius", "--sides", "3,4,3,4", "--scale", "ten"),
+        ("quad", "radius", "--sides", "1." + "0" * 2000 + ",1,1,1"),
+        ("trig", "eval", "--fn", "sin", "--radians", "0." + "0" * 2000),
     ])
     def test_refused_before_any_output(self, argv, capsys):
         # refused while parsing, so converge prints no header and pi sums nothing
@@ -246,6 +248,14 @@ class TestScaleCap:
             assert parser.parse_args(["trig", "table", "--scale", value]).scale == int(value)
             args = parser.parse_args(["pi", "--series", "sqrt12", "--terms", "1", "--digits", value])
             assert args.digits == int(value)
+
+    def test_decimal_cap_admits_its_bound(self, capsys):
+        side = "1." + "0" * (SCALE_CAP - 1)
+        assert main(["quad", "radius", "--sides", f"{side},1,1,1", "--scale", "10"]) == 0
+        assert capsys.readouterr().out == "0.7071067811\n"
+        radians = "0." + "0" * (SCALE_CAP - 1)
+        assert main(["trig", "eval", "--fn", "sin", "--radians", radians, "--scale", "5"]) == 0
+        assert capsys.readouterr().out == "0.00000\n"
 
 
 class TestTrigTermCap:

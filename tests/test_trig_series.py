@@ -19,7 +19,7 @@ from madhava.bigfixed import (
     fd_sub,
     fd_to_string,
 )
-from madhava.pi_series import pi_reference
+from madhava.pi_series import GUARD, pi_reference
 from madhava.trig_series import (
     COS,
     COS_DIFF,
@@ -317,6 +317,26 @@ class TestAngleAdd:
             angle_add(deg("100"), deg("1"), SIN_SUM, 12)
         with pytest.raises(ValueError):
             angle_add(deg("10"), deg("10"), "tan-sum", 12)
+
+
+class TestHalfPiBoundary:
+    # angles built as the CLI builds them: degrees at scale + GUARD
+    @pytest.mark.parametrize("scale", range(61))
+    def test_ninety_degrees_admitted(self, scale):
+        ws = scale + GUARD
+        right, half, zero = deg("90", ws), deg("45", ws), deg("0", ws)
+        h = fd_from_string("0")
+        taylor_shift_sin(right, h, scale)
+        taylor_shift_cos(right, h, scale)
+        angle_add(half, half, SIN_SUM, scale)
+        angle_add(right, zero, COS_SUM, scale)
+
+    @pytest.mark.parametrize("scale", range(61))
+    def test_past_ninety_degrees_refused(self, scale):
+        past = deg("90.0001", scale + GUARD)
+        for shift in (taylor_shift_sin, taylor_shift_cos):
+            with pytest.raises(ValueError):
+                shift(past, fd_from_string("0"), scale)
 
 
 class TestReduceAngle:
