@@ -1,64 +1,9 @@
 """Exact-arithmetic library for the classical Kerala-school results:
 pi series with end corrections, sine/cosine power series and the
 24-entry sine table, cyclic-quadrilateral circumradius, and kali-day
-chronology."""
+chronology.
 
-from .bigfixed import (
-    BigNat,
-    FixedDec,
-    ScaleMismatchError,
-    fd_add,
-    fd_div,
-    fd_from_ratio,
-    fd_from_string,
-    fd_isqrt,
-    fd_mul,
-    fd_rescale,
-    fd_round,
-    fd_sub,
-    fd_to_string,
-    nat_add,
-    nat_divrem,
-    nat_mul,
-)
-from .chronology import (
-    CalendarDate,
-    KaliInstant,
-    jd_to_date,
-    kali_to_julian_day,
-    venvaroha_epoch_check,
-)
-from .geometry import NotCyclicError, QuadSides, circumradius, circumradius_oracle
-from .pi_series import (
-    PiResult,
-    SeriesSpec,
-    TermCountError,
-    arctan_series,
-    aux_series,
-    circumference_check,
-    correction_term,
-    evaluate,
-    leibniz_corrected,
-    leibniz_partial,
-    madhava_pi_value,
-    pi_reference,
-    pi_sqrt12,
-    terms_for_digits,
-)
-from .trig_series import (
-    Angle,
-    CoeffTable,
-    SineTable,
-    angle_add,
-    build_sine_table,
-    coeff_table,
-    cos_series,
-    nested_eval,
-    reduce_angle,
-    sin_series,
-    sin_sq_series,
-    taylor_shift_cos,
-    taylor_shift_sin,
-)
+Each name has one home: import it from its module, e.g.
+``from madhava.pi_series import evaluate``."""
 
 __version__ = "0.1.0"

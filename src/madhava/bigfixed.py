@@ -283,7 +283,7 @@ def nat_divrem(a: BigNat, b: BigNat) -> tuple[BigNat, BigNat]:
 # FixedDec
 # ---------------------------------------------------------------------------
 
-_FD_PATTERN = re.compile(r"^([+-]?)(\d+)(?:\.(\d+))?$")
+_FD_PATTERN = re.compile(r"([+-]?)(\d+)(?:\.(\d+))?")
 
 
 class FixedDec:
@@ -385,12 +385,7 @@ def fd_from_ratio(num, den, sign: int = 1, scale: int = 0) -> FixedDec:
     Truncates toward zero, never rounds.  num and den are naturals (or
     non-negative ints); den must be nonzero.
     """
-    num = _as_nat(num)
-    den = _as_nat(den)
-    if den.is_zero():
-        raise ZeroDivisionError("fd_from_ratio with zero denominator")
-    mant = num.shift10(scale) // den
-    return FixedDec(sign, mant, scale)
+    return fd_divn(FixedDec(sign, num, 0), den, scale)
 
 
 def fd_add(a: FixedDec, b: FixedDec) -> FixedDec:
@@ -430,11 +425,7 @@ def fd_div(a: FixedDec, b: FixedDec, scale: int) -> FixedDec:
 
 def fd_divn(a: FixedDec, n, scale: int | None = None) -> FixedDec:
     """Divide by a natural (truncating); keeps a.scale unless told otherwise."""
-    n = _as_nat(n)
-    if n.is_zero():
-        raise ZeroDivisionError("fd_divn by zero")
-    scale = a.scale if scale is None else scale
-    return FixedDec(a.sign, fd_rescale(a, scale).mantissa // n, scale)
+    return fd_div(a, FixedDec(1, n, 0), a.scale if scale is None else scale)
 
 
 def fd_rescale(a: FixedDec, scale: int) -> FixedDec:
@@ -481,7 +472,7 @@ def fd_to_string(a: FixedDec) -> str:
 
 def fd_from_string(s: str) -> FixedDec:
     """Parse [+-]?digits[.digits]?; the scale is the fractional digit count."""
-    m = _FD_PATTERN.match(s)
+    m = _FD_PATTERN.fullmatch(s)
     if not m:
         raise ValueError(f"malformed decimal string: {s!r}")
     sign = -1 if m.group(1) == "-" else 1

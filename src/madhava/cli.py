@@ -31,11 +31,8 @@ from math import factorial
 
 from .bigfixed import (
     FixedDec,
-    fd_add,
-    fd_divn,
     fd_from_ratio,
     fd_from_string,
-    fd_mul,
     fd_rescale,
     fd_sub,
     fd_to_string,
@@ -56,6 +53,7 @@ from .pi_series import (
     evaluate,
     leibniz_sweep,
     madhava_pi_value,
+    odd_power_series,
     pi_reference,
 )
 from .trig_series import (
@@ -102,21 +100,6 @@ class VerifyReport:
 # verify checks
 # ---------------------------------------------------------------------------
 
-def _sin_term_by_term(theta: Angle, terms: int, scale: int) -> FixedDec:
-    """Plain summation of the sine series; deliberately a separate code
-    path from the nested evaluator so the table check is independent."""
-    th = fd_rescale(theta.radians, scale)
-    th2 = fd_mul(th, th)
-    acc = FixedDec.from_int(0, scale)
-    power = th
-    for k in range(terms):
-        term = fd_divn(power, factorial(2 * k + 1))
-        acc = fd_add(acc, term if k % 2 == 0 else -term)
-        if k + 1 < terms:
-            power = fd_mul(power, th2)
-    return acc
-
-
 def _check_pi_fraction() -> VerifyCheck:
     got = fd_to_string(madhava_pi_value(10))
     digit_11 = fd_to_string(madhava_pi_value(11))[-1]
@@ -162,7 +145,9 @@ def _check_sine_table() -> VerifyCheck:
     worst = FixedDec.from_int(0, 20)
     for k, value in table.entries:
         degrees = fd_from_ratio(15 * k, 4, 1, 22)
-        independent = _sin_term_by_term(Angle.from_degrees(degrees, 30), 15, 20)
+        # plain term-by-term sum: shares no code with the nested evaluator
+        radians = Angle.from_degrees(degrees, 30).radians
+        independent = odd_power_series(radians, 15, 20, lambda j: factorial(2 * j + 1))
         diff = abs(fd_sub(fd_rescale(value, 20), independent))
         if diff > worst:
             worst = diff
@@ -277,8 +262,10 @@ def cmd_converge(args, parser) -> int:
             parser.error(f"unknown series id {s!r}")
     if args.n_max < 1:
         parser.error("--n-max must be >= 1")
-    if args.n_max > DEFAULT_TERM_CAP:
-        raise TermCountError(f"--n-max {args.n_max} is above the term cap of {DEFAULT_TERM_CAP}")
+    terms = args.n_max * (args.n_max + 1) // 2  # per series and mode: n terms for each n
+    if terms > DEFAULT_TERM_CAP:
+        raise TermCountError(f"--n-max {args.n_max} sums {terms} terms per series, "
+                             f"above the term cap of {DEFAULT_TERM_CAP}")
     print("series,correction,n,value,abs_error")
     for line in _converge_rows(series_list, args.n_max, args.corrections, args.scale):
         print(line)

@@ -207,7 +207,7 @@ class TestFixedDec:
             assert fd_to_string(fd_from_string(fd_to_string(v))) == fd_to_string(v)
 
     def test_malformed_strings(self):
-        for bad in ("", "1.2.3", "1e5", ".5", "1.", "--2", "0x12", " 1"):
+        for bad in ("", "1.2.3", "1e5", ".5", "1.", "--2", "0x12", " 1", "3\n"):
             with pytest.raises(ValueError):
                 fd_from_string(bad)
 

@@ -159,6 +159,26 @@ class TestConvergeCommand:
         assert code == 2
         assert out == ""
 
+    def test_n_max_whose_sweep_passes_the_cap_refused_before_output(self, capsys):
+        # 1414 * 1415 / 2 = 1000405 terms per series, above DEFAULT_TERM_CAP
+        code, out = run_cli(capsys, "converge", "--series", "leibniz", "--n-max", "1414")
+        assert code == 2
+        assert out == ""
+
+    def test_largest_n_max_under_the_cap_admitted(self, capsys, monkeypatch):
+        # 1413 * 1414 / 2 = 998991 terms; the rows are stubbed, not summed
+        seen = []
+
+        def rows(*args):
+            seen.append(args)
+            return iter(())
+
+        monkeypatch.setattr(cli, "_converge_rows", rows)
+        code, out = run_cli(capsys, "converge", "--series", "leibniz", "--n-max", "1413")
+        assert code == 0
+        assert out == "series,correction,n,value,abs_error\n"
+        assert seen == [(["leibniz"], 1413, "none", 20)]
+
 
 class TestTrigCommands:
     def test_eval_sin(self, capsys):
@@ -234,6 +254,7 @@ class TestScaleCap:
         ("quad", "radius", "--sides", "3,4,3,4", "--scale", "ten"),
         ("quad", "radius", "--sides", "1." + "0" * 2000 + ",1,1,1"),
         ("trig", "eval", "--fn", "sin", "--radians", "0." + "0" * 2000),
+        ("trig", "shift", "--fn", "sin", "--u-degrees", "30", "--h", "0.1\n", "--scale", "10"),
     ])
     def test_refused_before_any_output(self, argv, capsys):
         # refused while parsing, so converge prints no header and pi sums nothing
