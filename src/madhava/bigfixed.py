@@ -148,7 +148,7 @@ class BigNat:
 
     @classmethod
     def from_str(cls, s: str) -> "BigNat":
-        if not s.isdigit():
+        if not (s.isascii() and s.isdigit()):
             raise ValueError(f"not a decimal natural: {s!r}")
         limbs = []
         for i in range(len(s), 0, -LIMB_DIGITS):
@@ -283,7 +283,7 @@ def nat_divrem(a: BigNat, b: BigNat) -> tuple[BigNat, BigNat]:
 # FixedDec
 # ---------------------------------------------------------------------------
 
-_FD_PATTERN = re.compile(r"([+-]?)(\d+)(?:\.(\d+))?")
+_FD_PATTERN = re.compile(r"([+-]?)([0-9]+)(?:\.([0-9]+))?")
 
 
 class FixedDec:
@@ -471,7 +471,8 @@ def fd_to_string(a: FixedDec) -> str:
 
 
 def fd_from_string(s: str) -> FixedDec:
-    """Parse [+-]?digits[.digits]?; the scale is the fractional digit count."""
+    """Parse [+-]?digits[.digits]? in ASCII digits; the scale is the
+    fractional digit count."""
     m = _FD_PATTERN.fullmatch(s)
     if not m:
         raise ValueError(f"malformed decimal string: {s!r}")

@@ -23,7 +23,7 @@ exists).  Gregorian dates are out of scope: everything here predates the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .bigfixed import FixedDec, fd_add, fd_floor_int, fd_from_string, fd_mul, fd_rescale
 
@@ -36,23 +36,28 @@ EPOCH_TARGET = (1402, 3, 10)
 EPOCH_TOLERANCE_DAYS = 2
 
 
-@dataclass(frozen=True)
-class KaliInstant:
-    """Days since the Kali epoch; fractional days allowed."""
-
+# NamedTuple bodies may not define __new__, so the subclass below validates
+class _KaliInstant(NamedTuple):
     kali_day: FixedDec
 
-    def __post_init__(self):
+
+class KaliInstant(_KaliInstant):
+    """Days since the Kali epoch; fractional days allowed."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kali_day.sign < 0 and not self.kali_day.is_zero():
             raise ValueError("kali_day must be non-negative")
+        return self
 
 
-@dataclass(frozen=True)
-class CalendarDate:
+class CalendarDate(NamedTuple):
     year: int  # astronomical numbering
     month: int
     day: int
-    calendar: str = field(default="JULIAN")
+    calendar: str = "JULIAN"
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
@@ -103,8 +108,7 @@ def date_to_jd(date: CalendarDate) -> FixedDec:
     return FixedDec.from_int(_julian_to_jdn(date.year, date.month, date.day), 1)
 
 
-@dataclass(frozen=True)
-class EpochReport:
+class EpochReport(NamedTuple):
     jd: FixedDec
     date: CalendarDate
     matches_paper: bool

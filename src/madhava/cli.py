@@ -26,8 +26,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 from .bigfixed import (
     FixedDec,
@@ -78,8 +78,7 @@ DEFAULT_TABLE_SCALE = 10
 TRIG_TERM_CAP = 488
 
 
-@dataclass(frozen=True)
-class VerifyCheck:
+class VerifyCheck(NamedTuple):
     name: str
     expected: str
     computed: str
@@ -87,8 +86,7 @@ class VerifyCheck:
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     checks: tuple[VerifyCheck, ...]
 
     @property
@@ -337,14 +335,22 @@ def _add_format(p):
                    help="output format (default: text)")
 
 
+def _ascii_int(text: str) -> int:
+    """argparse type: an int in ASCII digits only; int() would also take
+    a sign, spaces, underscores and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts from a string
+        raise argparse.ArgumentTypeError(f"int value of {len(text)} digits is too long") from None
+
+
 def _int_upto(cap: int):
-    """argparse type: an int in 0..cap."""
+    """argparse type: an ASCII-digit int in 0..cap."""
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if not 0 <= value <= cap:
+        value = _ascii_int(text)
+        if value > cap:
             raise argparse.ArgumentTypeError(f"{value} is outside 0..{cap}")
         return value
     return parse
@@ -357,7 +363,7 @@ _digit_count = _int_upto(SCALE_CAP)
 def _decimal(text: str) -> FixedDec:
     """argparse type: a decimal [+-]digits[.digits] of at most SCALE_CAP
     digits, so no input costs more than the largest admitted scale."""
-    if sum(ch.isdigit() for ch in text) > SCALE_CAP:
+    if sum("0" <= ch <= "9" for ch in text) > SCALE_CAP:
         raise argparse.ArgumentTypeError(f"decimal value has more than {SCALE_CAP} digits")
     try:
         return fd_from_string(text)
@@ -394,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_pi = _leaf(sub, "pi", cmd_pi, "evaluate one pi series")
     p_pi.add_argument("--series", choices=SERIES_IDS, required=True)
-    p_pi.add_argument("--terms", type=int, required=True, help="number of series terms")
+    p_pi.add_argument("--terms", type=_ascii_int, required=True, help="number of series terms")
     p_pi.add_argument("--correction", choices=CORRECTIONS, default=NO_CORRECTION,
                       help="end-correction, leibniz only (default: none)")
     p_pi.add_argument("--digits", type=_digit_count, default=DEFAULT_DIGITS,
@@ -406,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = _leaf(sub, "converge", cmd_converge, "CSV convergence sweep")
     p_conv.add_argument("--series", required=True,
                         help="comma-separated series ids, e.g. leibniz,sqrt12")
-    p_conv.add_argument("--n-max", type=int, required=True, dest="n_max")
+    p_conv.add_argument("--n-max", type=_ascii_int, required=True, dest="n_max")
     p_conv.add_argument("--corrections", choices=("none", "all"), default="none",
                         help="also sweep f1/f2/f3 for leibniz (default: none)")
     _add_scale(p_conv)

@@ -17,8 +17,7 @@ radius.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .bigfixed import (
     BigNat,
@@ -39,8 +38,7 @@ class NotCyclicError(ValueError):
     """The four lengths cannot be the sides of a cyclic quadrilateral."""
 
 
-@dataclass(frozen=True)
-class QuadSides:
+class QuadSides(NamedTuple):
     """Side lengths in consistent cyclic order."""
 
     a: FixedDec

@@ -58,9 +58,8 @@ Python integers and immediately wrapped; all accumulation is FixedDec.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .bigfixed import (
     BigNat,
@@ -91,8 +90,7 @@ F3 = "f3"
 GUARD = 10
 
 
-@dataclass(frozen=True)
-class SeriesDef:
+class SeriesDef(NamedTuple):
     """pi ~ multiplier * (lead + sum_{k=1..n} sign_k * num / (den(k) *
     ratio**(k-1))), with sign_k = (-1)**(k-1) when alternating and the
     multiplier's square root when root is set.  The numerator is one
@@ -153,17 +151,22 @@ class TermCountError(ValueError):
     """Requested digit count needs more terms than the configured cap."""
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
-    """Selects one pi series evaluation: id, term count, optional
-    end-correction (Leibniz only) and working scale."""
-
+# NamedTuple bodies may not define __new__, so the subclass below validates
+class _SeriesSpec(NamedTuple):
     series_id: str
     terms: int
     correction: str = NO_CORRECTION
     scale: int = 20
 
-    def __post_init__(self):
+
+class SeriesSpec(_SeriesSpec):
+    """Selects one pi series evaluation: id, term count, optional
+    end-correction (Leibniz only) and working scale."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.series_id not in SERIES_IDS:
             raise ValueError(f"unknown series id {self.series_id!r}")
         if self.terms < 1:
@@ -174,10 +177,10 @@ class SeriesSpec:
             raise ValueError("corrections apply to the leibniz series only")
         if self.scale < 1:
             raise ValueError("scale must be >= 1")
+        return self
 
 
-@dataclass(frozen=True)
-class PiResult:
+class PiResult(NamedTuple):
     value: FixedDec
     terms_used: int
     error_bound: FixedDec | None
@@ -366,8 +369,7 @@ def pi_reference(scale: int) -> FixedDec:
         ws += GUARD
 
 
-@dataclass(frozen=True)
-class CircumferenceReport:
+class CircumferenceReport(NamedTuple):
     madhava: BigNat
     computed: BigNat
     delta: int

@@ -21,10 +21,9 @@ sin 90 = 1) survive at table scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .bigfixed import (
     BigNat,
@@ -53,8 +52,7 @@ ADDITION_RULES = (SIN_SUM, SIN_DIFF, COS_SUM, COS_DIFF)
 SINE_TABLE_SIZE = 24  # one twenty-fourth of a quadrant: 3.75 degree steps
 
 
-@dataclass(frozen=True)
-class Angle:
+class Angle(NamedTuple):
     """An angle in radians (FixedDec)."""
 
     radians: FixedDec
@@ -76,8 +74,7 @@ _COEFFICIENT_TERMS: dict[str, Callable[[int], tuple[int, int]]] = {
 }
 
 
-@dataclass(frozen=True)
-class CoeffTable:
+class CoeffTable(NamedTuple):
     """Signed coefficients (-1)**k * num / den of one series in
     x = theta**2, each truncated once at the table's scale."""
 
@@ -166,8 +163,7 @@ def sin_terms_for(digits: int, theta_bound_milli: int = 1571) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class SineTable:
+class SineTable(NamedTuple):
     """24 pairs (k, sin(k * 3.75 degrees)) at a fixed decimal scale."""
 
     entries: tuple[tuple[int, FixedDec], ...]

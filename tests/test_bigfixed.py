@@ -211,6 +211,17 @@ class TestFixedDec:
             with pytest.raises(ValueError):
                 fd_from_string(bad)
 
+    def test_non_ascii_digits_refused(self):
+        # Arabic-Indic 3.14 and 3, fullwidth 7, superscript 2: str.isdigit
+        # and int() accept the first three, so the parsers must not use them
+        for bad in ("\u0663.\u0661\u0664", "\u0663", "\uff17", "3.1\u00b2"):
+            with pytest.raises(ValueError, match="malformed decimal"):
+                fd_from_string(bad)
+        for bad in ("\u0663", "1\uff17", "\u00b2"):
+            with pytest.raises(ValueError):
+                BigNat.from_str(bad)
+        assert BigNat.from_str("0123").to_int() == 123
+
     def test_zero_is_canonically_positive(self):
         v = fd_from_string("-0.000")
         assert v.sign == 1

@@ -279,6 +279,40 @@ class TestScaleCap:
         assert capsys.readouterr().out == "0.00000\n"
 
 
+class TestAsciiNumerals:
+    # \u0660-\u0669 are the Arabic-Indic digits, which int() and \\d accept
+    @pytest.mark.parametrize("argv", [
+        ("trig", "shift", "--fn", "sin", "--u-degrees", "30", "--h", "\u0660.\u0661",
+         "--scale", "10"),
+        ("quad", "radius", "--sides", "2,3,4,5", "--scale", "\u0662\u0660"),
+        ("quad", "radius", "--sides", "2,3,4,5", "--scale", "1_0"),
+        ("quad", "radius", "--sides", "2,3,4,5", "--scale", "+10"),
+        ("quad", "radius", "--sides", "2,3,4,5", "--scale", " 10"),
+        ("quad", "radius", "--sides", "2,3,\u0664,5", "--scale", "10"),
+        ("trig", "eval", "--fn", "sin", "--degrees", "30", "--terms", "\u0665"),
+        ("pi", "--series", "sqrt12", "--terms", "\u0662\u0668"),
+        ("converge", "--series", "leibniz", "--n-max", " 2"),
+    ])
+    def test_refused_before_any_output(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("flag", [("trig", "table", "--scale"),
+                                      ("pi", "--series", "sqrt12", "--terms")])
+    def test_overlong_int_refused_without_echo(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*flag, "1" * 5000])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == "" and len(out.err) < 1000
+
+    def test_ascii_spelling_admitted(self, capsys):
+        assert main(["quad", "radius", "--sides", "2,3,4,5", "--scale", "010"]) == 0
+        assert capsys.readouterr().out == "2.6176484357\n"
+
+
 class TestTrigTermCap:
     @pytest.mark.parametrize("terms", [str(TRIG_TERM_CAP + 1), "1000000000", "-1"])
     def test_refused_before_any_output(self, terms, capsys):
