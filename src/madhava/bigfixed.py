@@ -223,9 +223,6 @@ class BigNat:
     def __floordiv__(self, other: "BigNat") -> "BigNat":
         return divmod(self, other)[0]
 
-    def __mod__(self, other: "BigNat") -> "BigNat":
-        return divmod(self, other)[1]
-
     def shift10(self, k: int) -> "BigNat":
         """Exact multiply by 10**k (k >= 0)."""
         if k < 0:

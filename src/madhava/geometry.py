@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .bigfixed import (
-    BigNat,
     FixedDec,
     fd_add,
     fd_div,
@@ -69,7 +68,7 @@ def circumradius(q: QuadSides, scale: int) -> FixedDec:
         fd_sub(fd_add(fd_add(a, b), d), c),
         fd_sub(fd_add(fd_add(a, b), c), d),
     )
-    threshold = FixedDec(1, BigNat.from_int(1), scale)  # 10**-scale
+    threshold = FixedDec(1, 1, scale)  # 10**-scale
     for br in brackets:
         if br <= threshold:
             raise NotCyclicError("not a cyclic-quadrilateral side set: "

@@ -37,26 +37,29 @@ bit for bit.
 F1-F3 corrected Leibniz values for every n up to a bound in O(n) terms,
 each bit-identical to ``leibniz_partial`` / ``leibniz_corrected``.
 
-``pi_reference`` is the one source of pi: the sqrt12 series, computed
-once per scale, proven to truncate to pi by a rounding test and
-memoised; every module that needs pi reads it.
+``pi_reference`` is the one source of pi, computed once per scale and
+memoised; every module that needs pi reads it.  It does not use the
+truncated kernel: it brackets pi between sqrt(12) times two consecutive
+exact sqrt12 partial sums, held as integers, and returns the floor both
+ends share.
 
 Numerical contract: a call with working scale s sums reciprocals that are
 individually truncated at s, so the result carries the analytic series
 error plus a truncation drift: each term loses under 10**-s, alternating
 signs cancel about half of that, and the multiplier scales the rest, so
 sqrt12 drifts by at most (1.74n + 4) * 10**-s (``error_bound`` reports
-n + 4; ``pi_reference`` adds n more).  Callers wanting d trustworthy
-digits follow the guard-digit convention: compute at s = d + GUARD and
-truncate the result to d.
+only n + 4).  Callers wanting d trustworthy digits follow the guard-digit
+convention: compute at s = d + GUARD and truncate the result to d.
 
 The leading constants in aux-a (3/4) and aux-d (1/2) are always included
 and never counted in n.  Term denominators are constructed as exact
-Python integers and immediately wrapped; all accumulation is FixedDec.
+Python integers and immediately wrapped; all accumulation in the series
+kernels is FixedDec.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
@@ -71,7 +74,6 @@ from .bigfixed import (
     fd_mul,
     fd_rescale,
     fd_round,
-    fd_sub,
 )
 
 LEIBNIZ = "leibniz"
@@ -346,27 +348,32 @@ def madhava_pi_value(scale: int) -> FixedDec:
 
 @lru_cache(maxsize=None)
 def pi_reference(scale: int) -> FixedDec:
-    """pi truncated at the given scale, proven: the sqrt12 series with its
-    a-priori bound two digits past the request, summed with guard digits
-    to a value v with |v - pi| <= b.  The truncation is returned only when
-    v - b and v + b truncate alike (Ziv's rounding test); otherwise the
-    digit target and the working scale both grow by GUARD and it retries,
-    which ends because pi is irrational.  Memoised by scale, so every
+    """pi truncated at the given scale, proven by an exact bracket.
+
+    The sqrt12 terms alternate and shrink, so pi lies between sqrt(12)
+    times the exact partial sums S_n and S_{n+1}.  S_m is a plain integer
+    over common * 3**(m-1), common the lcm of the odd denominators, and
+    each end is floored at the scale by math.isqrt.  When the two floors
+    agree they are pi's; otherwise n grows by GUARD terms and it retries,
+    which ends because pi is irrational.  n starts with the analytic
+    bound two digits past the request.  Memoised by scale, so every
     caller at one scale shares one computation."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    digits, ws = scale + 2, scale + GUARD
+    n = terms_for_digits(SQRT12, scale + 2)
     while True:
-        n = terms_for_digits(SQRT12, digits)
-        v = pi_sqrt12(n, ws)
-        # error_bound's drift counts n + 4 ulp; the signed term truncations
-        # times sqrt(12) reach about 1.74n + 4, so n more ulp covers them
-        b = fd_add(error_bound(SQRT12, n, ws), FixedDec(1, BigNat.from_int(n), ws))
-        low = fd_rescale(fd_sub(v, b), scale)
-        if low == fd_rescale(fd_add(v, b), scale):
-            return low
-        digits += GUARD
-        ws += GUARD
+        common = math.lcm(*range(1, 2 * n + 2, 2))
+        floors = []
+        acc = 0  # after term m: S_m * common * 3**(m-1)
+        for k in range(1, n + 2):
+            term = common // (2 * k - 1)
+            acc = 3 * acc + (term if k % 2 else -term)
+            if k >= n:
+                den = common * 3 ** (k - 1)
+                floors.append(math.isqrt(12 * acc * acc * 100**scale // (den * den)))
+        if floors[0] == floors[1]:
+            return FixedDec(1, floors[0], scale)
+        n += GUARD
 
 
 class CircumferenceReport(NamedTuple):
@@ -440,11 +447,11 @@ def error_bound(series_id: str, n: int, scale: int, correction: str = NO_CORRECT
     multiplier = _multiplier(series, scale)
     if series.root:
         # ceil the root so the bound stays an upper bound
-        multiplier = fd_add(multiplier, FixedDec(1, BigNat.from_int(1), scale))
+        multiplier = fd_add(multiplier, FixedDec(1, 1, scale))
     num, den = series.tail_bound(n)
     analytic = fd_divn(fd_mul(multiplier, FixedDec.from_int(num)), den, scale)
     # drift: n per-term truncations plus a couple for the final scaling
-    return fd_add(analytic, FixedDec(1, BigNat.from_int(n + 4), scale))
+    return fd_add(analytic, FixedDec(1, n + 4, scale))
 
 
 def evaluate(spec: SeriesSpec) -> PiResult:

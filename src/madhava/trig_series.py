@@ -26,7 +26,6 @@ from math import factorial
 from typing import Callable, NamedTuple
 
 from .bigfixed import (
-    BigNat,
     FixedDec,
     fd_add,
     fd_div,
@@ -114,7 +113,7 @@ def nested_eval(table: CoeffTable, theta: Angle, scale: int) -> FixedDec:
 
 def _check_domain(theta: Angle, limit: FixedDec, what: str) -> None:
     # two ulp of slack so boundary angles built from truncated pi pass
-    slack = FixedDec(1, BigNat.from_int(2), limit.scale)
+    slack = FixedDec(1, 2, limit.scale)
     if abs(fd_rescale(theta.radians, limit.scale)) > fd_add(limit, slack):
         raise ValueError(f"angle out of range: |theta| must be <= {what}")
 
@@ -226,10 +225,9 @@ def _taylor_shift(u: Angle, h: FixedDec, scale: int, which: str) -> FixedDec:
     s, c = _sin_cos(u, ws)
     hw = fd_rescale(h, ws)
     h2_half = fd_divn(fd_mul(hw, hw), 2)
-    if which == SIN:
-        out = fd_sub(fd_add(s, fd_mul(hw, c)), fd_mul(h2_half, s))
-    else:
-        out = fd_sub(fd_sub(c, fd_mul(hw, s)), fd_mul(h2_half, c))
+    # a + h*b - h^2/2 * a, with (a, b) = (sin u, cos u) or (cos u, -sin u)
+    a, b = (s, c) if which == SIN else (c, -s)
+    out = fd_sub(fd_add(a, fd_mul(hw, b)), fd_mul(h2_half, a))
     return fd_rescale(out, scale)
 
 
@@ -254,14 +252,11 @@ def angle_add(x: Angle, y: Angle, which: str, scale: int) -> FixedDec:
     _check_domain(Angle(combined), half_pi, "pi/2")
     sx, cx = _sin_cos(x, ws)
     sy, cy = _sin_cos(y, ws)
-    if which == SIN_SUM:
-        out = fd_add(fd_mul(sx, cy), fd_mul(cx, sy))
-    elif which == SIN_DIFF:
-        out = fd_sub(fd_mul(sx, cy), fd_mul(cx, sy))
-    elif which == COS_SUM:
-        out = fd_sub(fd_mul(cx, cy), fd_mul(sx, sy))
+    if which.startswith(SIN):
+        first, second = fd_mul(sx, cy), fd_mul(cx, sy)
     else:
-        out = fd_add(fd_mul(cx, cy), fd_mul(sx, sy))
+        first, second = fd_mul(cx, cy), fd_mul(sx, sy)
+    out = fd_add(first, second if which in (SIN_SUM, COS_DIFF) else -second)
     return fd_rescale(out, scale)
 
 

@@ -11,7 +11,7 @@ from math import isqrt
 
 import pytest
 
-from madhava import bigfixed
+from madhava import bigfixed, pi_series
 from madhava.bigfixed import FixedDec, fd_from_string, fd_mul, fd_rescale, fd_to_string
 from madhava.pi_series import (
     AUX_A,
@@ -428,6 +428,20 @@ class TestPiReference:
         v = pi_reference(scale)
         assert v.scale == scale
         assert v.mantissa.to_int() == machin_pi_floor(scale)
+
+    def test_truncates_machin_every_scale_to_400(self):
+        # covers 78 and 359, where the first bracket straddles a digit
+        for s in range(401):
+            assert pi_reference(s) == FixedDec(1, machin_pi_floor(s), s)
+
+    def test_independent_of_the_truncated_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("pi_reference must not read the kernel it referees")
+
+        for name in ("pi_sqrt12", "error_bound", "_running_sums"):
+            monkeypatch.setattr(pi_series, name, refuse)
+        for s in (0, 78, 359):
+            assert pi_reference.__wrapped__(s).mantissa.to_int() == machin_pi_floor(s)
 
     def test_memoised_by_scale(self):
         assert pi_reference(33) is pi_reference(33)
