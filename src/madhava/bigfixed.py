@@ -14,6 +14,8 @@ here; no float ever touches a computation path.
     multiplication all truncate toward zero - never round.  Truncation
     keeps results bit-reproducible and plays nicely with alternating
     series error analysis; callers absorb the drift with guard digits.
+    Its arithmetic is spelled ``fd_*`` only; the class itself keeps
+    ``-x``, ``abs()`` and the value comparisons.
 
 Operands range from a few limbs to a few thousand digits (``--scale``
 goes up to 2000, and a 1000-digit pi multiplies and divides 1000-digit
@@ -108,8 +110,6 @@ def _divrem_small(a: tuple[int, ...], d: int) -> tuple[list[int], int]:
 def _divrem_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """Floor quotient and remainder.  Requires b nonzero.  A one-limb
     divisor runs the linear limb loop; a longer one goes through int."""
-    if _cmp_limbs(a, b) < 0:
-        return [], list(a)
     if len(b) == 1:
         q, r = _divrem_small(a, b[0])
         return q, [r] if r else []
@@ -161,8 +161,6 @@ class BigNat:
             n = n * BASE + limb
         return n
 
-    __int__ = to_int
-
     def is_zero(self) -> bool:
         return not self.limbs
 
@@ -190,18 +188,6 @@ class BigNat:
 
     def __hash__(self):
         return hash(self.limbs)
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     def __add__(self, other: "BigNat") -> "BigNat":
         return BigNat(tuple(_add_limbs(self.limbs, other.limbs)))
@@ -246,9 +232,6 @@ class BigNat:
     def isqrt(self) -> "BigNat":
         """Largest r with r*r <= self."""
         return BigNat.from_int(math.isqrt(self.to_int()))
-
-
-_NAT_ZERO = BigNat()
 
 
 def _as_nat(v) -> BigNat:
@@ -355,23 +338,11 @@ class FixedDec:
     def __abs__(self) -> "FixedDec":
         return FixedDec(1, self.mantissa, self.scale)
 
-    def __add__(self, other: "FixedDec") -> "FixedDec":
-        return fd_add(self, other)
-
-    def __sub__(self, other: "FixedDec") -> "FixedDec":
-        return fd_sub(self, other)
-
-    def __mul__(self, other: "FixedDec") -> "FixedDec":
-        return fd_mul(self, other)
-
     def __str__(self) -> str:
         return fd_to_string(self)
 
     def __repr__(self) -> str:
         return f"FixedDec({fd_to_string(self)})"
-
-
-FD_ZERO = FixedDec(1, _NAT_ZERO, 0)
 
 
 # spec-named operation surface ------------------------------------------------
@@ -391,10 +362,7 @@ def fd_add(a: FixedDec, b: FixedDec) -> FixedDec:
         raise ScaleMismatchError(f"add/sub needs equal scales, got {a.scale} and {b.scale}")
     if a.sign == b.sign:
         return FixedDec(a.sign, a.mantissa + b.mantissa, a.scale)
-    c = a.mantissa._cmp(b.mantissa)
-    if c == 0:
-        return FixedDec(1, _NAT_ZERO, a.scale)
-    if c > 0:
+    if a.mantissa._cmp(b.mantissa) > 0:
         return FixedDec(a.sign, a.mantissa - b.mantissa, a.scale)
     return FixedDec(b.sign, b.mantissa - a.mantissa, a.scale)
 
@@ -444,14 +412,14 @@ def fd_round(a: FixedDec, scale: int) -> FixedDec:
     if scale >= a.scale:
         return fd_rescale(a, scale)
     drop = a.scale - scale
-    half = BigNat((5,)).shift10(drop - 1)
+    half = BigNat.from_int(5 * 10 ** (drop - 1))
     return FixedDec(a.sign, (a.mantissa + half).unshift10(drop), scale)
 
 
 def fd_isqrt(a: FixedDec, scale: int) -> FixedDec:
     """Floor square root at the requested scale: the largest r (a multiple
     of 10**-scale) with r*r <= a."""
-    if a.sign < 0 and not a.is_zero():
+    if a.sign < 0:
         raise ValueError("fd_isqrt of a negative value")
     return FixedDec(1, fd_rescale(a, 2 * scale).mantissa.isqrt(), scale)
 
@@ -479,10 +447,5 @@ def fd_from_string(s: str) -> FixedDec:
 
 
 def fd_floor_int(a: FixedDec) -> int:
-    """Integer floor; exact (uses the sign and the dropped digits)."""
-    whole = a.mantissa.unshift10(a.scale)
-    n = whole.to_int()
-    if a.sign < 0:
-        frac_dropped = a.mantissa._cmp(whole.shift10(a.scale)) != 0
-        return -n - (1 if frac_dropped else 0)
-    return n
+    """Integer floor; exact."""
+    return a.sign * a.mantissa.to_int() // 10**a.scale

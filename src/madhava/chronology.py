@@ -48,7 +48,7 @@ class KaliInstant(_KaliInstant):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.kali_day.sign < 0 and not self.kali_day.is_zero():
+        if self.kali_day.sign < 0:
             raise ValueError("kali_day must be non-negative")
         return self
 

@@ -140,15 +140,14 @@ def _check_epoch() -> VerifyCheck:
 def _check_sine_table() -> VerifyCheck:
     table = build_sine_table(DEFAULT_TABLE_SCALE)
     tol = FixedDec(1, 1, 8)  # 1e-8
-    worst = FixedDec.from_int(0, 20)
+    deviations = []
     for k, value in table.entries:
         degrees = fd_from_ratio(15 * k, 4, 1, 22)
         # plain term-by-term sum: shares no code with the nested evaluator
         radians = Angle.from_degrees(degrees, 30).radians
         independent = odd_power_series(radians, 15, 20, lambda j: factorial(2 * j + 1))
-        diff = abs(fd_sub(fd_rescale(value, 20), independent))
-        if diff > worst:
-            worst = diff
+        deviations.append(abs(fd_sub(fd_rescale(value, 20), independent)))
+    worst = max(deviations)
     return VerifyCheck(
         name="sine_table_8_digits",
         expected="all 24 entries within 0.00000001 of a 15-term scale-20 evaluation",

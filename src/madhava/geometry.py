@@ -62,12 +62,8 @@ def circumradius(q: QuadSides, scale: int) -> FixedDec:
     if any(s <= zero for s in sides):
         raise ValueError("sides must all be positive")
     a, b, c, d = sides
-    brackets = (
-        fd_sub(fd_add(fd_add(b, c), d), a),
-        fd_sub(fd_add(fd_add(a, c), d), b),
-        fd_sub(fd_add(fd_add(a, b), d), c),
-        fd_sub(fd_add(fd_add(a, b), c), d),
-    )
+    perimeter = fd_add(fd_add(a, b), fd_add(c, d))
+    brackets = [fd_sub(perimeter, fd_add(s, s)) for s in sides]
     threshold = FixedDec(1, 1, scale)  # 10**-scale
     for br in brackets:
         if br <= threshold:

@@ -54,7 +54,7 @@ convention: compute at s = d + GUARD and truncate the result to d.
 The leading constants in aux-a (3/4) and aux-d (1/2) are always included
 and never counted in n.  Term denominators are constructed as exact
 Python integers and immediately wrapped; all accumulation in the series
-kernels is FixedDec.
+kernels is FixedDec.  ``pi_reference`` alone accumulates plain ints.
 """
 
 from __future__ import annotations

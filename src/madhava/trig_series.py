@@ -12,8 +12,10 @@ Angles are FixedDec radians.  Degree construction converts through
 pi_reference with ten guard digits.  The series contracts hold for
 |theta| <= pi; use reduce_angle first for anything wider.
 
-Every public operation takes a target scale, computes with ten guard
-digits internally and truncates the result to the target.  The one
+Every public operation takes a target scale and truncates its result to
+it.  The series and reduce_angle work at scale + GUARD.  The sine table,
+the shift formulas and the addition rules work at scale + GUARD and ask
+the series for that scale, so their series run at scale + 2*GUARD.  The one
 exception to truncate-everywhere is the final quantization of sine-table
 entries, which rounds half-away so that exact values (sin 30 = 0.5,
 sin 90 = 1) survive at table scale.
@@ -28,7 +30,6 @@ from typing import Callable, NamedTuple
 from .bigfixed import (
     FixedDec,
     fd_add,
-    fd_div,
     fd_divn,
     fd_from_ratio,
     fd_mul,
@@ -267,9 +268,7 @@ def reduce_angle(theta: Angle, scale: int) -> Angle:
     two_pi = fd_mul(pi, FixedDec.from_int(2))
     t = fd_rescale(theta.radians, ws)
     shifted = fd_add(t, pi)
-    q = fd_div(shifted, two_pi, 0)
-    k = q.mantissa.to_int() * q.sign
-    if shifted.sign < 0 and fd_mul(q, two_pi) != shifted:
-        k -= 1
+    # floor((t + pi) / 2pi): both mantissas sit at ws and 2pi is positive
+    k = shifted.sign * shifted.mantissa.to_int() // two_pi.mantissa.to_int()
     out = fd_sub(t, fd_mul(FixedDec.from_int(k), two_pi))
     return Angle(fd_rescale(out, scale))

@@ -50,3 +50,50 @@ def machin_pi_floor(scale: int, guard: int = 30) -> int:
     low, high = (pi - slack) // 10**guard, (pi + slack) // 10**guard
     assert low == high, f"{guard} guard digits do not settle pi at scale {scale}"
     return low
+
+
+def _taylor_bracket(theta: Fraction, fn: str, work: int) -> tuple[int, int]:
+    """Integers lo <= f(theta) * 10**work <= hi for f = sin or cos, from
+    the Taylor series in plain integers.
+
+    Each term is the previous one times x**2 / ((2k)(2k+1)) for sin or
+    x**2 / ((2k-1)(2k)) for cos, floored; err bounds how far the floored
+    term is from the exact one and grows by the same ratio plus one unit
+    per floor.  Flooring theta itself costs one more unit, as sin and cos
+    are 1-Lipschitz.  The loop stops at a zero term once the ratio is
+    below one, so the omitted alternating tail is under that term's err.
+    """
+    if theta < 0:  # sin is odd, cos even; the loop floors non-negative terms
+        lo, hi = _taylor_bracket(-theta, fn, work)
+        return (-hi, -lo) if fn == "sin" else (lo, hi)
+    one = 10**work
+    x, rest = divmod(theta.numerator * one, theta.denominator)
+    x2, term = x * x, (x if fn == "sin" else one)
+    total, err, slack, k = term, 0, (1 if rest else 0), 0
+    while True:
+        k += 1
+        den = (2 * k) * (2 * k + 1 if fn == "sin" else 2 * k - 1) * one * one
+        term = term * x2 // den
+        err = -(-err * x2 // den) + 1
+        total += -term if k % 2 else term
+        slack += err
+        if term == 0 and x2 <= den:
+            return total - slack - err, total + slack + err
+
+
+def trig_floor(fn: str, theta: Fraction, scale: int, guard: int = 30) -> int:
+    """floor(f(theta) * 10**scale) for f = sin, cos or sinsq (sin**2).
+
+    Like machin_pi_floor, the floor is returned only when the oracle's
+    whole error interval at scale + guard settles it.
+    """
+    work = scale + guard
+    lo, hi = _taylor_bracket(theta, "sin" if fn == "sinsq" else fn, work)
+    drop = guard
+    if fn == "sinsq":  # the squares sit at scale 2 * work
+        squares = (lo * lo, hi * hi)
+        lo, hi = (0 if lo <= 0 <= hi else min(squares)), max(squares)
+        drop += work
+    low, high = lo // 10**drop, hi // 10**drop
+    assert low == high, f"{guard} guard digits do not settle {fn} at scale {scale}"
+    return low

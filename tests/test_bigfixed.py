@@ -1,6 +1,7 @@
 """Arithmetic core: limb ring vs the Python-int oracle, truncation
 contracts, string round trips."""
 
+import math
 import random
 
 import pytest
@@ -107,6 +108,18 @@ class TestBigNatRing:
         q, r = nat_divrem(BigNat.from_int(a), BigNat.from_int(b))
         assert (q.to_int(), r.to_int()) == divmod(a, b)
 
+    def test_refusals(self):
+        with pytest.raises(ValueError):
+            BigNat.from_int(-1)
+        with pytest.raises(ArithmeticError):
+            BigNat.from_int(5) - BigNat.from_int(6)
+        with pytest.raises(ValueError):
+            BigNat.from_int(5).shift10(-1)
+        with pytest.raises(ValueError):
+            BigNat.from_int(5).unshift10(-1)
+        with pytest.raises(AttributeError):
+            BigNat.from_int(5).limbs = (6,)
+
     def test_canonical_form(self):
         assert BigNat.from_int(0).limbs == ()
         assert BigNat.from_int(BASE).limbs == (0, 1)
@@ -148,6 +161,16 @@ class TestFixedDec:
         assert fd_to_string(fd_mul(fd_from_string("0.33333"), fd_from_string("3.00000"))) == "0.99999"
         z = fd_sub(a, a)
         assert z.sign == 1 and z.is_zero()
+
+    def test_constructor_refusals(self):
+        with pytest.raises(ValueError):
+            FixedDec(0, 1, 0)
+        with pytest.raises(ValueError):
+            FixedDec(1, 1, -1)
+        with pytest.raises(TypeError):
+            FixedDec(1, 1.5, 0)
+        with pytest.raises(AttributeError):
+            FixedDec(1, 1, 0).scale = 2
 
     def test_scale_mismatch_rejected(self):
         with pytest.raises(ScaleMismatchError):
@@ -239,6 +262,21 @@ class TestFixedDec:
         assert fd_floor_int(fd_from_string("2233206.569")) == 2233206
         assert fd_floor_int(fd_from_string("-2.5")) == -3
         assert fd_floor_int(fd_from_string("-2.0")) == -2
+
+    @pytest.mark.parametrize("scale", (0, 1, 5, 9, 10, 18, 30))
+    def test_floor_int_matches_fraction(self, scale):
+        rng = random.Random(1000 + scale)
+        whole = 10**scale
+        mantissas = [0, 1, whole, 7 * whole, whole - 1, whole + 1]
+        mantissas += [rand_nat(rng, scale + 12) for _ in range(200)]
+        for m in mantissas:
+            for sign in (1, -1):
+                v = FixedDec(sign, BigNat.from_int(m), scale)
+                assert fd_floor_int(v) == math.floor(as_fraction(v)), fd_to_string(v)
+        # -10**-s and the negative whole numbers
+        assert fd_floor_int(FixedDec(-1, 1, scale)) == -1
+        for n in (1, 2, 9, 10, 10**12):
+            assert fd_floor_int(FixedDec.from_int(-n, scale)) == -n
 
     def test_value_comparison_across_scales(self):
         assert fd_from_string("0.50") == fd_from_string("0.5000")

@@ -149,10 +149,13 @@ class TestConvergeCommand:
             main(["converge", "--series", "leibniz", "--n-max", "0"])
         assert exc.value.code == 2
 
-    def test_unknown_series(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["converge", "--series", "machin", "--n-max", "3"])
-        assert exc.value.code == 2
+    def test_unknown_series(self, capsys):
+        # "," names no series at all once the empty items are dropped
+        for series in ("machin", ","):
+            with pytest.raises(SystemExit) as exc:
+                main(["converge", "--series", series, "--n-max", "3"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
 
     def test_n_max_above_cap_refused_before_output(self, capsys):
         code, out = run_cli(capsys, "converge", "--series", "sqrt12", "--n-max", "1000001")

@@ -80,6 +80,8 @@ class TestCorrections:
         assert fd_to_string(correction_term(1, F1, 2)) == "0.25"
         assert fd_to_string(correction_term(1, F2, 1)) == "0.2"
         assert abs(as_fraction(correction_term(2, F3, 12)) - Fraction(5, 42)) < ulp(12)
+        with pytest.raises(ValueError):
+            correction_term(5, "f4", 10)
 
     def test_corrected_small_cases(self):
         assert fd_to_string(leibniz_corrected(1, F2, 6)) == "3.200000"
@@ -276,6 +278,8 @@ class TestMadhavaFraction:
 
     def test_scale_zero(self):
         assert fd_to_string(madhava_pi_value(0)) == "3"
+        with pytest.raises(ValueError):
+            madhava_pi_value(-1)
 
     def test_eleventh_decimal_departs_from_pi(self):
         assert fd_to_string(madhava_pi_value(11))[-1] != fd_to_string(pi_reference(11))[-1]
@@ -339,6 +343,12 @@ class TestTermSelection:
             terms_for_digits(AUX_B, 8)
         # a raised cap turns the refusal into a (huge) answer
         assert terms_for_digits(AUX_B, 8, cap=10**9) == 100_000_000
+
+    def test_bad_requests_refused(self):
+        with pytest.raises(ValueError):
+            terms_for_digits(SQRT12, 0)
+        with pytest.raises(ValueError):
+            terms_for_digits("machin", 5)
 
 
 class TestInvariants:
@@ -445,6 +455,10 @@ class TestPiReference:
 
     def test_memoised_by_scale(self):
         assert pi_reference(33) is pi_reference(33)
+
+    def test_negative_scale_refused(self):
+        with pytest.raises(ValueError):
+            pi_reference(-1)
 
     def test_extends_beyond_constant(self):
         v = pi_reference(35)

@@ -3,7 +3,7 @@ shift-formula error order, angle-addition identities."""
 
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, floor
 
 import pytest
 
@@ -29,6 +29,7 @@ from madhava.trig_series import (
     SIN_SUM,
     SINSQ,
     Angle,
+    CoeffTable,
     angle_add,
     build_sine_table,
     coeff_table,
@@ -71,6 +72,14 @@ class TestCoeffTable:
 
     def test_cached(self):
         assert coeff_table(SIN, 8, 25) is coeff_table(SIN, 8, 25)
+
+    def test_refusals(self):
+        with pytest.raises(ValueError):
+            coeff_table("tan", 3, 10)
+        with pytest.raises(ValueError):
+            coeff_table(SIN, 0, 10)
+        with pytest.raises(ValueError):
+            nested_eval(CoeffTable(SIN, (), 0), Angle(fd_from_string("0.5")), 10)
 
     def test_single_coefficient(self):
         # constant polynomial: cos table of one term is exactly 1
@@ -359,6 +368,24 @@ class TestReduceAngle:
     def test_within_range_is_stable(self):
         v = reduce_angle(Angle(fd_from_string("1.5")), 15)
         assert fd_to_string(v.radians) == "1.500000000000000"
+
+    @pytest.mark.parametrize("scale", (0, 3, 20, 41))
+    def test_odd_multiples_of_pi_and_their_neighbours(self, scale):
+        # t = (2j + 1) * pi at the working scale, and one ulp to either
+        # side: the turn count k = floor((t + pi) / 2pi) flips right there
+        ws = scale + GUARD
+        pi_m = pi_reference(ws).mantissa.to_int()
+        pi = Fraction(pi_m, 10**ws)
+        for j in (-40, -3, -2, -1, 0, 1, 2, 39):
+            for offset in (-1, 0, 1):
+                m = (2 * j + 1) * pi_m + offset
+                t = Fraction(m, 10**ws)
+                theta = Angle(FixedDec(1 if m >= 0 else -1, BigNat.from_int(abs(m)), ws))
+                k = floor((t + pi) / (2 * pi))
+                expected = Fraction(int((t - 2 * pi * k) * 10**scale), 10**scale)
+                got = reduce_angle(theta, scale).radians
+                assert got.scale == scale
+                assert as_fraction(got) == expected, (j, offset)
 
 
 class TestAngleConstruction:
