@@ -43,14 +43,8 @@ class ScaleMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# limb-level helpers (operate on little-endian lists of ints in [0, BASE))
+# limb-level helpers (little-endian ints in [0, BASE); BigNat drops high zeros)
 # ---------------------------------------------------------------------------
-
-def _trim(limbs: list[int]) -> list[int]:
-    while limbs and limbs[-1] == 0:
-        limbs.pop()
-    return limbs
-
 
 def _add_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
     if len(a) < len(b):
@@ -82,9 +76,7 @@ def _sub_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
         else:
             out.append(d)
             borrow = 0
-    if borrow:
-        raise ArithmeticError("BigNat subtraction underflow")
-    return _trim(out)
+    return out
 
 
 def _cmp_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> int:
@@ -104,17 +96,17 @@ def _divrem_small(a: tuple[int, ...], d: int) -> tuple[list[int], int]:
         cur = rem * BASE + a[i]
         out[i] = cur // d
         rem = cur - out[i] * d
-    return _trim(out), rem
+    return out, rem
 
 
-def _divrem_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[list[int], list[int]]:
+def _divrem_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple["BigNat", "BigNat"]:
     """Floor quotient and remainder.  Requires b nonzero.  A one-limb
     divisor runs the linear limb loop; a longer one goes through int."""
     if len(b) == 1:
         q, r = _divrem_small(a, b[0])
-        return q, [r] if r else []
+        return BigNat(q), BigNat([r])
     q, r = divmod(BigNat(a).to_int(), BigNat(b).to_int())
-    return list(BigNat.from_int(q).limbs), list(BigNat.from_int(r).limbs)
+    return BigNat.from_int(q), BigNat.from_int(r)
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +117,19 @@ class BigNat:
     """Unbounded non-negative integer, little-endian base-10**9 limbs.
 
     Canonical form: the empty tuple is zero and the highest limb is
-    otherwise nonzero.  Instances are immutable.
+    otherwise nonzero.  The constructor makes it from any sequence of
+    limbs by dropping high zero limbs.  Instances are immutable.
     """
 
     __slots__ = ("limbs",)
 
-    def __init__(self, limbs: tuple[int, ...] = ()):
+    def __init__(self, limbs: tuple[int, ...] | list[int] = ()):
+        limbs = tuple(limbs)
+        if limbs and not limbs[-1]:
+            top = len(limbs) - 1
+            while top and not limbs[top - 1]:
+                top -= 1
+            limbs = limbs[:top]
         object.__setattr__(self, "limbs", limbs)
 
     def __setattr__(self, name, value):
@@ -144,7 +143,7 @@ class BigNat:
         while n:
             limbs.append(n % BASE)
             n //= BASE
-        return cls(tuple(limbs))
+        return cls(limbs)
 
     @classmethod
     def from_str(cls, s: str) -> "BigNat":
@@ -153,7 +152,7 @@ class BigNat:
         limbs = []
         for i in range(len(s), 0, -LIMB_DIGITS):
             limbs.append(int(s[max(0, i - LIMB_DIGITS):i]))
-        return cls(tuple(_trim(limbs)))
+        return cls(limbs)
 
     def to_int(self) -> int:
         n = 0
@@ -190,12 +189,12 @@ class BigNat:
         return hash(self.limbs)
 
     def __add__(self, other: "BigNat") -> "BigNat":
-        return BigNat(tuple(_add_limbs(self.limbs, other.limbs)))
+        return BigNat(_add_limbs(self.limbs, other.limbs))
 
     def __sub__(self, other: "BigNat") -> "BigNat":
         if self._cmp(other) < 0:
             raise ArithmeticError("BigNat subtraction would go negative")
-        return BigNat(tuple(_sub_limbs(self.limbs, other.limbs)))
+        return BigNat(_sub_limbs(self.limbs, other.limbs))
 
     def __mul__(self, other: "BigNat") -> "BigNat":
         return BigNat.from_int(self.to_int() * other.to_int())
@@ -203,8 +202,7 @@ class BigNat:
     def __divmod__(self, other: "BigNat") -> tuple["BigNat", "BigNat"]:
         if other.is_zero():
             raise ZeroDivisionError("BigNat division by zero")
-        q, r = _divrem_limbs(self.limbs, other.limbs)
-        return BigNat(tuple(q)), BigNat(tuple(r))
+        return _divrem_limbs(self.limbs, other.limbs)
 
     def __floordiv__(self, other: "BigNat") -> "BigNat":
         return divmod(self, other)[0]
@@ -225,9 +223,9 @@ class BigNat:
             return self
         whole, rest = divmod(k, LIMB_DIGITS)
         limbs = self.limbs[whole:]
-        if rest and limbs:
-            limbs = tuple(_divrem_small(limbs, 10**rest)[0])
-        return BigNat(tuple(_trim(list(limbs))))
+        if rest:
+            limbs = _divrem_small(limbs, 10**rest)[0]
+        return BigNat(limbs)
 
     def isqrt(self) -> "BigNat":
         """Largest r with r*r <= self."""
@@ -300,7 +298,7 @@ class FixedDec:
     @classmethod
     def from_int(cls, n: int, scale: int = 0) -> "FixedDec":
         sign = -1 if n < 0 else 1
-        return cls(sign, BigNat.from_int(abs(n)).shift10(scale), scale)
+        return cls(sign, BigNat.from_int(abs(n) * 10**scale), scale)
 
     def is_zero(self) -> bool:
         return self.mantissa.is_zero()

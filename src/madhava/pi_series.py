@@ -30,8 +30,8 @@ partial sum after each term; a single n-term value is its last item.
 The kernel shifts the numerator to the scale once and divides that
 shared value by each term's denominator (and, for a series with a
 ratio, by the ratio once per term), so sqrt12 divides only by one limb
-(3 or 2k-1) and a term costs O(scale) rather than a Knuth division by a
-scale-digit denominator; the mantissas are those of the full quotient,
+(3 or 2k-1) and a term costs O(scale) rather than a multi-limb division
+by a scale-digit denominator; the mantissas are those of the full quotient,
 bit for bit.
 ``leibniz_sweep`` reads the same kernel once to give the plain and the
 F1-F3 corrected Leibniz values for every n up to a bound in O(n) terms,

@@ -97,3 +97,18 @@ def trig_floor(fn: str, theta: Fraction, scale: int, guard: int = 30) -> int:
     low, high = lo // 10**drop, hi // 10**drop
     assert low == high, f"{guard} guard digits do not settle {fn} at scale {scale}"
     return low
+
+
+def sin_round(theta: Fraction, scale: int, guard: int = 30) -> int:
+    """sin(theta) * 10**scale rounded half away from zero, for
+    0 <= theta <= pi, where sin is non-negative and half away is half up.
+
+    Like trig_floor, it is returned only when the oracle's whole error
+    interval at scale + guard settles it.
+    """
+    assert 0 <= theta
+    lo, hi = _taylor_bracket(theta, "sin", scale + guard)
+    half = 5 * 10 ** (guard - 1)
+    low, high = (lo + half) // 10**guard, (hi + half) // 10**guard
+    assert low == high, f"{guard} guard digits do not settle sin at scale {scale}"
+    return low

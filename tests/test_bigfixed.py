@@ -126,6 +126,13 @@ class TestBigNatRing:
         n = BigNat.from_int(5 * BASE) - BigNat.from_int(5 * BASE)
         assert n.limbs == ()
         assert BigNat.from_str("000123").to_int() == 123
+        # the constructor drops high zero limbs from any sequence
+        for limbs, value in (((0,), 0), ([5, 0, 0], 5), ((0, 0), 0)):
+            n, twin = BigNat(limbs), BigNat.from_int(value)
+            assert n.limbs == twin.limbs
+            assert n == twin and hash(n) == hash(twin)
+            assert n.is_zero() == twin.is_zero() == (value == 0)
+            assert str(n) == str(twin) == str(value)
 
     def test_shift10_exactness(self):
         rng = random.Random(31)
@@ -249,6 +256,11 @@ class TestFixedDec:
         v = fd_from_string("-0.000")
         assert v.sign == 1
         assert fd_to_string(v) == "0.000"
+        v = FixedDec(-1, BigNat((0,)), 3)
+        assert v.sign == 1
+        assert fd_to_string(v) == "0.000"
+        assert v == FixedDec.from_int(0, 3)
+        assert fd_isqrt(v, 3) == FixedDec.from_int(0, 3)
 
     def test_rescale_and_round(self):
         assert fd_to_string(fd_rescale(fd_from_string("1.23"), 5)) == "1.23000"

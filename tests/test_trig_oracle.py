@@ -1,19 +1,23 @@
 """Printed trig values against the plain-integer Taylor oracle.
 
-The oracle (conftest.trig_floor) shares no code with madhava.  It reads
-the CLI's angle the way the CLI builds it for --degrees: degrees * pi,
-with pi floored at scale + 2*GUARD, over 180, floored at scale + GUARD.
-The printed value must be the oracle's truncation at that angle.
+The oracle (conftest.trig_floor and conftest.sin_round) shares no code
+with madhava.  The contract it checks: the printed value is f(theta_t)
+truncated toward zero at the scale, where theta_t is the angle the CLI
+builds.  For --radians that is the given value; for --degrees it is
+degrees * pi, with pi floored at scale + 2*GUARD, over 180, floored at
+scale + GUARD.  A sine-table entry is sin(theta_t) rounded half away
+from zero at the table scale, with theta_t built the same way.
 
-The digest keys with rational exact values (sin 30, cos 60, sin^2 45 and
-the like) are left out: there the last printed digit flips between
-...999 and ...000 from one scale to the next, and which of the two is
-right is the open contract question of ROADMAP item 8.  The strict
-xfails below are outputs that are wrong under either reading.
+The digest keys with rational exact values (sin 30, cos 60, sin^2 45
+and the like) are checked with a wide oracle guard: theta_t sits just
+below the exact angle, so f(theta_t) lies a hair off the rational value
+and its truncation can end in ...999.  The strict xfails below (reason
+"ROADMAP item 8") are outputs that break this contract today.
 """
 
 import json
 from fractions import Fraction
+from functools import cache
 from math import floor
 from pathlib import Path
 
@@ -21,8 +25,8 @@ import pytest
 
 from madhava.cli import main
 from madhava.pi_series import GUARD
-from madhava.trig_series import build_sine_table
-from conftest import machin_pi_floor, trig_floor
+from madhava.trig_series import SINE_TABLE_SIZE, build_sine_table
+from conftest import machin_pi_floor, sin_round, trig_floor
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text(encoding="utf-8"))
@@ -31,20 +35,56 @@ IRRATIONAL = {
     "cos": {"15", "22.5", "30", "45", "75"},
     "sinsq": {"15", "22.5", "75"},
 }
-DEGREE_KEYS = sorted(
-    key for key in DIGESTS
-    if key.startswith("trig eval --fn ") and key.split()[5] in IRRATIONAL[key.split()[3]])
 
 
-def cli_degrees_angle(degrees: str, scale: int) -> Fraction:
+def degree_key(fn: str, degrees: str, scale: int) -> str:
+    return f"trig eval --fn {fn} --degrees {degrees} --scale {scale}"
+
+
+TRIG_KEYS = sorted(key for key in DIGESTS if key.startswith("trig eval --fn "))
+DEGREE_KEYS = [key for key in TRIG_KEYS if key.split()[5] in IRRATIONAL[key.split()[3]]]
+# cos 60 at scales 35 and 40 is test_cos_sixty_degrees below
+COS_SIXTY_XFAILS = (35, 40)
+EXACT_KEYS = [key for key in TRIG_KEYS if key not in DEGREE_KEYS and key not in
+              {degree_key("cos", "60", scale) for scale in COS_SIXTY_XFAILS}]
+# printed as the exact value where the contract truncates to ...999
+EXACT_XFAILS = {
+    degree_key(fn, degrees, scale)
+    for fn, degrees, scales in (("sin", "30", (25, 30)), ("sin", "90", (20, 25, 30)),
+                                ("sinsq", "45", (10,)), ("sinsq", "60", (10, 25)),
+                                ("sinsq", "90", (10, 25)))
+    for scale in scales}
+
+RADIANS = ("0.5", "1", "2", "3")
+RADIANS_SCALES = (10, 20, 40)
+RADIANS_XFAILS = (
+    {("2", "sinsq", s) for s in RADIANS_SCALES} | {("2", "sin", 40), ("2", "cos", 40)}
+    | {("3", fn, s) for fn in ("sin", "cos", "sinsq") for s in RADIANS_SCALES})
+
+TABLE_SCALES = (10, 40, 100, 140, 141, 200, 300)
+TABLE_XFAILS = {(141, 24), (200, 23), (200, 24)} | {(300, k) for k in range(20, 25)}
+
+ITEM_8 = pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+
+
+def cli_degrees_angle(degrees, scale: int) -> Fraction:
     ws = scale + GUARD
     pi = Fraction(machin_pi_floor(ws + GUARD), 10 ** (ws + GUARD))
     return Fraction(floor(Fraction(degrees) * pi / 180 * 10**ws), 10**ws)
 
 
-def truncation(fn: str, theta: Fraction, scale: int) -> str:
-    q = trig_floor(fn, theta, scale)  # every value checked here is positive
-    return f"{q // 10**scale}.{q % 10**scale:0{scale}d}"
+def fixed(q: int, scale: int) -> str:
+    """The decimal string of q * 10**-scale, as fd_to_string prints it."""
+    sign, q = ("-" if q < 0 else ""), abs(q)
+    return f"{sign}{q // 10**scale}.{q % 10**scale:0{scale}d}"
+
+
+def truncation(fn: str, theta: Fraction, scale: int, guard: int = 30) -> str:
+    """f(theta) truncated toward zero at the scale.  Below zero that is
+    the floor plus one ulp: every negative value checked here is
+    irrational, so never a whole number of ulps."""
+    q = trig_floor(fn, theta, scale, guard)
+    return fixed(q + 1 if q < 0 else q, scale)
 
 
 def printed(capsys, argv) -> str:
@@ -52,8 +92,9 @@ def printed(capsys, argv) -> str:
     return capsys.readouterr().out.rstrip("\n")
 
 
-def test_every_irrational_degree_key_is_checked():
-    assert len(DEGREE_KEYS) == 91
+def test_every_degree_key_is_checked():
+    assert (len(DEGREE_KEYS), len(EXACT_KEYS), len(TRIG_KEYS)) == (91, 54, 147)
+    assert EXACT_XFAILS < set(EXACT_KEYS)
 
 
 @pytest.mark.parametrize("key", DEGREE_KEYS)
@@ -63,8 +104,20 @@ def test_degrees_print_the_truncation_at_the_cli_angle(key, capsys):
     assert printed(capsys, argv) == truncation(fn, cli_degrees_angle(degrees, scale), scale)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
-@pytest.mark.parametrize("scale", (35, 40))
+@pytest.mark.parametrize(
+    "key", [pytest.param(key, marks=ITEM_8) if key in EXACT_XFAILS else key
+            for key in EXACT_KEYS])
+def test_exact_degrees_print_the_truncation_at_the_cli_angle(key, capsys):
+    # f(theta_t) is within about 10**-(2 * scale + 20) of the rational
+    # value at 90 degrees, so the oracle needs guard digits past that
+    argv = key.split()
+    fn, degrees, scale = argv[3], argv[5], int(argv[7])
+    expected = truncation(fn, cli_degrees_angle(degrees, scale), scale, guard=3 * scale + 40)
+    assert printed(capsys, argv) == expected
+
+
+@ITEM_8
+@pytest.mark.parametrize("scale", COS_SIXTY_XFAILS)
 def test_cos_sixty_degrees(scale, capsys):
     # cos 60 = 1/2 and cos of the truncated angle, just above 1/2, both
     # truncate to 0.5000...; the program prints 0.4999...
@@ -72,13 +125,30 @@ def test_cos_sixty_degrees(scale, capsys):
     assert printed(capsys, argv) == truncation("cos", cli_degrees_angle("60", scale), scale)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
-def test_sin_three_radians(capsys):
-    argv = ["trig", "eval", "--fn", "sin", "--radians", "3", "--scale", "20"]
-    assert printed(capsys, argv) == truncation("sin", Fraction(3), 20)
+@pytest.mark.parametrize("theta, fn, scale", [
+    pytest.param(*case, marks=ITEM_8) if case in RADIANS_XFAILS else case
+    for case in ((theta, fn, scale) for theta in RADIANS
+                 for fn in ("sin", "cos", "sinsq") for scale in RADIANS_SCALES)])
+def test_radians_print_the_truncation(theta, fn, scale, capsys):
+    argv = ["trig", "eval", "--fn", fn, "--radians", theta, "--scale", str(scale)]
+    assert printed(capsys, argv) == truncation(fn, Fraction(theta), scale)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+@cache
+def sine_table(scale: int) -> dict[int, str]:
+    return {k: str(value) for k, value in build_sine_table(scale).entries}
+
+
+@pytest.mark.parametrize("scale, k", [
+    pytest.param(*entry, marks=ITEM_8) if entry in TABLE_XFAILS else entry
+    for entry in ((scale, k) for scale in TABLE_SCALES for k in range(1, SINE_TABLE_SIZE + 1))])
+def test_sine_table_rounds_sin_at_the_table_angle(scale, k):
+    # entry k is k * 3.75 degrees, built like a --degrees angle at the scale
+    q = sin_round(cli_degrees_angle(Fraction(15 * k, 4), scale), scale)
+    assert sine_table(scale)[k] == fixed(q, scale)
+
+
+@ITEM_8
 def test_sine_table_ninety_degrees_lands_on_one():
     k, value = build_sine_table(150).entries[-1]
     assert (k, str(value)) == (24, "1." + "0" * 150)
