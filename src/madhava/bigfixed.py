@@ -20,7 +20,9 @@ here; no float ever touches a computation path.
 Operands range from a few limbs to a few thousand digits (``--scale``
 goes up to 2000, and a 1000-digit pi multiplies and divides 1000-digit
 mantissas).  The linear operations (add, subtract, compare, division by
-one limb, decimal down-shift) run as limb loops; the quadratic ones
+one limb, decimal down-shift) run as limb loops, and add and subtract
+stop where the shorter operand and its carry end, copying the longer
+operand's high limbs as one slice; the quadratic ones
 (multi-limb division, products, decimal up-shift, the integer square
 root) convert to Python ``int`` and back, since CPython does those
 textbook algorithms in C.  The series kernels keep their divisors to one
@@ -51,31 +53,50 @@ def _add_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
         a, b = b, a
     out = []
     carry = 0
-    for i in range(len(a)):
-        s = a[i] + carry + (b[i] if i < len(b) else 0)
+    for x, y in zip(a, b):
+        s = x + y + carry
         if s >= BASE:
             out.append(s - BASE)
             carry = 1
         else:
             out.append(s)
             carry = 0
+    i = len(b)
+    while carry and i < len(a):
+        if a[i] == BASE - 1:
+            out.append(0)
+        else:
+            out.append(a[i] + 1)
+            carry = 0
+        i += 1
+    out.extend(a[i:])
     if carry:
         out.append(1)
     return out
 
 
 def _sub_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    # requires a >= b
+    # requires a >= b, so a nonzero limb of a above b's length ends the
+    # borrow before the limbs run out
     out = []
     borrow = 0
-    for i in range(len(a)):
-        d = a[i] - borrow - (b[i] if i < len(b) else 0)
+    for x, y in zip(a, b):
+        d = x - y - borrow
         if d < 0:
             out.append(d + BASE)
             borrow = 1
         else:
             out.append(d)
             borrow = 0
+    i = len(b)
+    while borrow:
+        if a[i]:
+            out.append(a[i] - 1)
+            borrow = 0
+        else:
+            out.append(BASE - 1)
+        i += 1
+    out.extend(a[i:])
     return out
 
 

@@ -28,11 +28,12 @@ sqrt12 is the odd reciprocal 1/(2k-1) with ratio 3, so its k-th term is
 Summation is one running-sum kernel, ``_running_sums``, that yields the
 partial sum after each term; a single n-term value is its last item.
 The kernel shifts the numerator to the scale once and divides that
-shared value by each term's denominator (and, for a series with a
-ratio, by the ratio once per term), so sqrt12 divides only by one limb
-(3 or 2k-1) and a term costs O(scale) rather than a multi-limb division
-by a scale-digit denominator; the mantissas are those of the full quotient,
-bit for bit.
+shared value by each term's denominator times the ratio powers not yet
+divided out of it; only when that divisor would outgrow one limb does it
+divide the shared value by those powers (for sqrt12 once every 12 to 17
+terms).  So sqrt12 divides only by one limb and a term costs one O(scale)
+pass rather than a multi-limb division by a scale-digit denominator; the
+mantissas are those of the full quotient, bit for bit.
 ``leibniz_sweep`` reads the same kernel once to give the plain and the
 F1-F3 corrected Leibniz values for every n up to a bound in O(n) terms,
 each bit-identical to ``leibniz_partial`` / ``leibniz_corrected``.
@@ -65,6 +66,7 @@ from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .bigfixed import (
+    BASE,
     BigNat,
     FixedDec,
     fd_add,
@@ -203,23 +205,31 @@ def _running_sums(series: SeriesDef, n: int, scale: int) -> Iterator[FixedDec]:
     """lead + sum_{k=1..m} sign_k * exact_term(k) for m = 1..n, each
     quotient truncated at scale.
 
-    The kernel carries scaled = floor(num * 10**scale / ratio**(k-1)),
-    takes the k-th mantissa as scaled // den(k) and, for a ratio above 1,
-    divides scaled by the ratio once per term.  Since floor(floor(x / a)
-    / b) = floor(x / (a * b)) for positive integers, every mantissa equals
-    fd_from_ratio(*exact_term(k)).  For sqrt12 both divisors fit one limb
-    (3 and 2k - 1), so a term costs O(scale) instead of a division by an
-    O(scale)-digit denominator; every series is spared the per-term shift.
+    The kernel carries scaled = floor(num * 10**scale / ratio**(k-1-e))
+    and pending = ratio**e, the ratio powers not yet divided out of it, and
+    takes the k-th mantissa as scaled // (den(k) * pending).  Only when
+    pending > 1 and den(k) * pending no longer fits one limb does it divide
+    scaled by pending and reset pending to 1; a ratio-1 series, whose den
+    may outgrow one limb (aux-c's from k = 33), never does.  Since
+    floor(floor(x / a) / b) = floor(x / (a * b)) for positive integers,
+    every mantissa equals fd_from_ratio(*exact_term(k)).  For sqrt12 every
+    divisor fits one limb, so a term costs one O(scale) pass, plus the
+    division of scaled by pending every 12 to 17 terms, instead of a
+    division by an O(scale)-digit denominator; every series is spared the
+    per-term shift.
     """
     acc = fd_from_ratio(*series.lead, 1, scale) if series.lead else FixedDec.from_int(0, scale)
     step = -1 if series.alternating else 1
     sign = 1
-    ratio = BigNat.from_int(series.ratio)
+    pending = 1
     scaled = BigNat.from_int(series.num).shift10(scale)
     for k in range(1, n + 1):
-        acc = fd_add(acc, FixedDec(sign, scaled // BigNat.from_int(series.den(k)), scale))
-        if series.ratio > 1:
-            scaled //= ratio
+        den = series.den(k)
+        if pending > 1 and den * pending >= BASE:
+            scaled //= BigNat.from_int(pending)
+            pending = 1
+        acc = fd_add(acc, FixedDec(sign, scaled // BigNat.from_int(den * pending), scale))
+        pending *= series.ratio
         sign *= step
         yield acc
 

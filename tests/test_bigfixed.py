@@ -143,6 +143,46 @@ class TestBigNatRing:
             assert BigNat.from_int(a).unshift10(k).to_int() == a // 10**k
 
 
+def limb_value(limbs):
+    return sum(l * BASE**i for i, l in enumerate(limbs))
+
+
+class TestCarryChains:
+    # add and subtract walk the shorter operand, then carry or borrow only
+    # as far as the chain runs; these shapes make the chain cross every
+    # high limb of the longer operand
+    def assert_sum_and_differences(self, a, b):
+        A, B = BigNat.from_int(a), BigNat.from_int(b)
+        for s in (A + B, B + A):
+            assert s.to_int() == a + b
+            assert s.limbs == BigNat.from_int(a + b).limbs
+        hi, lo = (A, B) if a >= b else (B, A)
+        d = hi - lo
+        assert d.to_int() == abs(a - b)
+        assert d.limbs == BigNat.from_int(abs(a - b)).limbs
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_carry_runs_off_the_top(self, k):
+        self.assert_sum_and_differences(BASE**k - 1, 1)
+        assert (BigNat.from_int(BASE**k - 1) + BigNat.from_int(1)).limbs == (0,) * k + (1,)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_borrow_runs_to_the_top(self, k):
+        assert (BigNat.from_int(BASE**k) - BigNat.from_int(1)).limbs == (BASE - 1,) * k
+        d = BigNat.from_int(BASE**k + 5) - BigNat.from_int(7)
+        assert d.to_int() == BASE**k - 2
+        self.assert_sum_and_differences(BASE**k + 5, 7)
+
+    def test_runs_of_full_and_empty_limbs(self):
+        rng = random.Random(0x5EED)
+        for _ in range(2000):
+            long = [rng.choice((0, BASE - 1)) for _ in range(rng.randrange(1, 9))]
+            long.append(rng.choice((1, BASE - 1)))
+            short = [rng.choice((0, 1, BASE - 1, rng.randrange(BASE)))
+                     for _ in range(rng.randrange(0, len(long) + 1))]
+            self.assert_sum_and_differences(limb_value(long), limb_value(short))
+
+
 class TestFixedDec:
     def test_from_ratio_examples(self):
         assert fd_to_string(fd_from_ratio(1, 3, 1, 5)) == "0.33333"

@@ -27,6 +27,7 @@ from madhava.pi_series import (
     SERIES,
     SERIES_IDS,
     SQRT12,
+    SeriesDef,
     SeriesSpec,
     _partial_sum,
     _running_sums,
@@ -122,6 +123,20 @@ def sweep_oracle(n_max, scale):
 
 def parts(x):
     return x.sign * x.mantissa.to_int(), x.scale
+
+
+@pytest.fixture
+def divisor_limbs(monkeypatch):
+    """The limb count of every divisor bigfixed._divrem_limbs sees."""
+    log = []
+    divrem = bigfixed._divrem_limbs
+
+    def recording(a, b):
+        log.append(len(b))
+        return divrem(a, b)
+
+    monkeypatch.setattr(bigfixed, "_divrem_limbs", recording)
+    return log
 
 
 class TestLeibnizSweep:
@@ -252,6 +267,53 @@ class TestSqrt12Kernel:
         _partial_sum(SERIES[SQRT12], 1300, 620)
         assert len(divisor_limbs) >= 1300
         assert set(divisor_limbs) == {1}
+
+    def test_one_division_per_term(self, divisor_limbs):
+        # powers of 3 ride in the one-limb divisor and are divided out of
+        # the numerator only when they would overflow it: one division per
+        # term plus one by the held powers every 12 to 17 terms, not two
+        # per term
+        _partial_sum(SERIES[SQRT12], 1300, 620)
+        assert len(divisor_limbs) <= 1.1 * 1300
+        assert set(divisor_limbs) == {1}
+
+
+class TestRatioFold:
+    # (series, how often the kernel divides the pending ratio powers out of
+    # its numerator): never (ratio 1), on some terms, or on every term after
+    # the first (den(k) * ratio no longer fits one limb)
+    CASES = {
+        "ratio1-wide-den": (SeriesDef(lambda k: 10**9 + k, 1), "never"),
+        "ratio2-const": (SeriesDef(lambda k: 1, 1, alternating=False, ratio=2), "some"),
+        "ratio7-odd": (SeriesDef(lambda k: 2 * k - 1, 1, num=4, ratio=7), "some"),
+        "ratio7-square": (SeriesDef(lambda k: k * k, 1, alternating=False, ratio=7), "some"),
+        "ratio30011-odd": (SeriesDef(lambda k: 2 * k - 1, 1, ratio=30011), "some"),
+        "ratio11-one-limb-den": (SeriesDef(lambda k: 10**8 + k, 1, ratio=11), "every"),
+        "ratio2-wide-den": (SeriesDef(lambda k: 10**9 + k, 1, num=5, ratio=2), "every"),
+    }
+
+    @pytest.mark.parametrize("scale", [9, 37, 120])
+    @pytest.mark.parametrize("case", CASES)
+    def test_running_sums_match_int_oracle(self, case, scale):
+        series, _ = self.CASES[case]
+        unit, total = 10**scale, 0
+        for k, acc in enumerate(_running_sums(series, 80, scale), 1):
+            sign = (-1) ** (k - 1) if series.alternating else 1
+            total += sign * (series.num * unit // (series.den(k) * series.ratio ** (k - 1)))
+            assert parts(acc) == (total, scale)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_each_case_reaches_its_fold_regime(self, divisor_limbs, case):
+        # m mantissa divisions, plus one per fold
+        series, folds = self.CASES[case]
+        m = 80
+        _partial_sum(series, m, 37)
+        if folds == "never":
+            assert len(divisor_limbs) == m
+        elif folds == "every":
+            assert len(divisor_limbs) == 2 * m - 1
+        else:
+            assert m < len(divisor_limbs) < 2 * m - 1
 
 
 class TestRunningSums:
