@@ -42,15 +42,13 @@ from .geometry import QuadSides, circumradius
 from .pi_series import (
     CORRECTIONS,
     DEFAULT_TERM_CAP,
-    GUARD,
     LEIBNIZ,
     NO_CORRECTION,
     SCALE_CAP,
     SERIES_IDS,
-    SeriesSpec,
     TermCountError,
     circumference_check,
-    evaluate,
+    evaluate_digits,
     leibniz_sweep,
     madhava_pi_value,
     odd_power_series,
@@ -72,9 +70,9 @@ from .trig_series import (
 DEFAULT_SCALE = 20
 DEFAULT_DIGITS = 20
 DEFAULT_TABLE_SCALE = 10
-# sin_terms_for(SCALE_CAP + GUARD, 3142): the most sine terms any admitted
-# scale needs on |theta| <= pi.  Stored, so that no process pays for the
-# search at import; tests/test_cli.py checks the two agree.
+# sin_terms_for at SCALE_CAP plus the guard digits, on |theta| <= pi: the
+# most sine terms any admitted scale needs.  Stored, so that no process
+# pays for the search at import; tests/test_cli.py checks the two agree.
 TRIG_TERM_CAP = 488
 
 
@@ -195,10 +193,8 @@ def build_verify_report() -> VerifyReport:
 def cmd_pi(args, parser) -> int:
     if args.correction != NO_CORRECTION and args.series != LEIBNIZ:
         parser.error("--correction applies to the leibniz series only")
-    spec = SeriesSpec(series_id=args.series, terms=args.terms,
-                      correction=args.correction, scale=args.digits + GUARD)
-    result = evaluate(spec)
-    value = fd_to_string(fd_rescale(result.value, args.digits))
+    result = evaluate_digits(args.series, args.terms, args.correction, args.digits)
+    value = fd_to_string(result.value)
     bound = None if result.error_bound is None else fd_to_string(result.error_bound)
     if args.format == "json":
         payload = {
@@ -239,13 +235,11 @@ def cmd_verify(args, parser) -> int:
 
 def _converge_rows(series_list, n_max, corrections, scale):
     pi_ref = pi_reference(scale)
-    ws = scale + GUARD
     for series_id in series_list:
         modes = list(CORRECTIONS) if (corrections == "all" and series_id == LEIBNIZ) else [NO_CORRECTION]
         for mode in modes:
             for n in range(1, n_max + 1):
-                value = evaluate(SeriesSpec(series_id, n, mode, ws)).value
-                out = fd_rescale(value, scale)
+                out = evaluate_digits(series_id, n, mode, scale).value
                 err = abs(fd_sub(out, pi_ref))
                 yield f"{series_id},{mode},{n},{fd_to_string(out)},{fd_to_string(err)}"
 
@@ -271,7 +265,7 @@ def cmd_converge(args, parser) -> int:
 
 def cmd_trig_eval(args, parser) -> int:
     angle = (Angle(args.radians) if args.degrees is None
-             else Angle.from_degrees(args.degrees, args.scale + GUARD))
+             else Angle.for_scale(args.degrees, args.scale))
     terms = args.terms if args.terms else sin_terms_for(args.scale, 3142)
     fn = {"sin": sin_series, "cos": cos_series, "sinsq": sin_sq_series}[args.fn]
     print(fd_to_string(fn(angle, terms, args.scale)))
@@ -288,15 +282,15 @@ def cmd_trig_table(args, parser) -> int:
 
 
 def cmd_trig_shift(args, parser) -> int:
-    u = Angle.from_degrees(args.u_degrees, args.scale + GUARD)
+    u = Angle.for_scale(args.u_degrees, args.scale)
     fn = taylor_shift_sin if args.fn == "sin" else taylor_shift_cos
     print(fd_to_string(fn(u, args.h, args.scale)))
     return 0
 
 
 def cmd_trig_addrule(args, parser) -> int:
-    x = Angle.from_degrees(args.x_degrees, args.scale + GUARD)
-    y = Angle.from_degrees(args.y_degrees, args.scale + GUARD)
+    x = Angle.for_scale(args.x_degrees, args.scale)
+    y = Angle.for_scale(args.y_degrees, args.scale)
     print(fd_to_string(angle_add(x, y, args.rule, args.scale)))
     return 0
 

@@ -49,8 +49,8 @@ individually truncated at s, so the result carries the analytic series
 error plus a truncation drift: each term loses under 10**-s, alternating
 signs cancel about half of that, and the multiplier scales the rest, so
 sqrt12 drifts by at most (1.74n + 4) * 10**-s (``error_bound`` reports
-only n + 4).  Callers wanting d trustworthy digits follow the guard-digit
-convention: compute at s = d + GUARD and truncate the result to d.
+only n + 4).  ``evaluate_digits`` holds the guard-digit convention: d
+digits are computed at s = d + GUARD and the value truncated to d.
 
 The leading constants in aux-a (3/4) and aux-d (1/2) are always included
 and never counted in n.  Term denominators are constructed as exact
@@ -478,6 +478,13 @@ def evaluate(spec: SeriesSpec) -> PiResult:
         value = aux_series(spec.series_id, spec.terms, spec.scale)
     bound = error_bound(spec.series_id, spec.terms, spec.scale, spec.correction)
     return PiResult(value=value, terms_used=spec.terms, error_bound=bound)
+
+
+def evaluate_digits(series_id: str, terms: int, correction: str, digits: int) -> PiResult:
+    """The guard-digit convention in one place: evaluate at digits + GUARD
+    and truncate the value to digits; the bound stays at the working scale."""
+    result = evaluate(SeriesSpec(series_id, terms, correction, digits + GUARD))
+    return result._replace(value=fd_rescale(result.value, digits))
 
 
 def _check_terms(n: int) -> None:

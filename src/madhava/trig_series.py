@@ -9,8 +9,16 @@ table is built from exact integer ratios and truncated once, so repeated
 calls share identical coefficients.
 
 Angles are FixedDec radians.  Degree construction converts through
-pi_reference with ten guard digits.  The series contracts hold for
-|theta| <= pi; use reduce_angle first for anything wider.
+pi_reference with ten guard digits; Angle.for_scale(degrees, scale) is
+theta_t, the angle a degree argument names for a result at scale, and
+the pi/2 limit of the shift formulas and addition rules is theta_t of 90
+degrees.  The series contracts hold for |theta| <= pi; use reduce_angle
+first for anything wider.
+
+The sine table runs the second-difference rule s_{k+1} = 2 cos(h) s_k -
+s_{k-1} over h = 3.75 degrees from one sin h and one cos h.  Where an
+entry's drift bound reaches a rounding tie, the rule is rerun for that
+entry alone at more digits until the bound clears it.
 
 Every public operation takes a target scale and truncates its result to
 it.  The series and reduce_angle work at scale + GUARD.  The sine table,
@@ -50,6 +58,9 @@ COS_DIFF = "cos-diff"
 ADDITION_RULES = (SIN_SUM, SIN_DIFF, COS_SUM, COS_DIFF)
 
 SINE_TABLE_SIZE = 24  # one twenty-fourth of a quadrant: 3.75 degree steps
+_TABLE_STEP = fd_from_ratio(15, 4, 1, 2)  # 3.75 degrees, held exactly
+_TABLE_STEP_MILLI = 66  # 3.75 degrees is below 0.066 rad
+_RIGHT_ANGLE = FixedDec.from_int(90)
 
 
 class Angle(NamedTuple):
@@ -63,6 +74,11 @@ class Angle(NamedTuple):
         pi = pi_reference(scale + GUARD)
         prod = fd_mul(fd_rescale(degrees, scale + GUARD), pi)
         return cls(fd_divn(prod, 180, scale))
+
+    @classmethod
+    def for_scale(cls, degrees: FixedDec, scale: int) -> "Angle":
+        """theta_t, a degree argument's angle for a result at scale."""
+        return cls.from_degrees(degrees, scale + GUARD)
 
 
 # Coefficient k in x = theta**2 is (-1)**k * num / den, (num, den) = term(k).
@@ -173,29 +189,60 @@ class SineTable(NamedTuple):
 def build_sine_table(scale: int) -> SineTable:
     """Sine values on the traditional 3.75-degree grid up to 90 degrees.
 
-    Term count comes from the Lagrange bound two digits past the table
-    scale; entries are evaluated with guard digits and rounded half-away
-    at the end, so the exact grid points (30 and 90 degrees) land on
-    0.5 and 1 at table scale.
+    Entry k is the second-difference sine s_k rounded half-away at the
+    table scale, so the exact grid points (30 and 90 degrees) land on 0.5
+    and 1.  Where s_k lies within _drift_ulp(k) of a rounding tie, the
+    recurrence is rerun for entry k alone with step theta_k / k, GUARD
+    more digits at a time, until it clears the tie; sin(theta_k) of a
+    nonzero rational theta_k is never a tie, so the loop ends.
     """
     if scale < 10:
         raise ValueError("sine table needs scale >= 10")
-    ws = scale + GUARD
-    terms = sin_terms_for(scale + 2)
+    h = Angle.for_scale(_TABLE_STEP, scale)
     entries = []
-    for k in range(1, SINE_TABLE_SIZE + 1):
-        degrees = fd_from_ratio(15 * k, 4, 1, ws)  # k * 3.75 held exactly
-        angle = Angle.from_degrees(degrees, ws)
-        value = sin_series(angle, terms, ws)
+    for k, value in enumerate(_second_difference_sines(h, SINE_TABLE_SIZE, scale + GUARD)[1:], 1):
+        while _near_tie(value, scale, k):
+            ws = value.scale + GUARD
+            theta = Angle.for_scale(fd_mul(FixedDec.from_int(k), _TABLE_STEP), scale)
+            value = _second_difference_sines(Angle(fd_divn(theta.radians, k, ws)), k, ws)[k]
         entries.append((k, fd_round(value, scale)))
     return SineTable(entries=tuple(entries), scale=scale)
 
 
-def _half_pi(ws: int) -> FixedDec:
-    """pi/2 truncated at ws.  floor(floor(x) / 2) = floor(x / 2), so any
-    pi_reference scale >= ws gives it; ws + GUARD is the one _power_series
-    at ws has already memoised."""
-    return fd_divn(pi_reference(ws + GUARD), 2, ws)
+def _second_difference_sines(h: Angle, count: int, ws: int) -> list[FixedDec]:
+    """s_0 .. s_count at ws by the second-difference rule
+    s_{k+1} = 2 cos(h) s_k - s_{k-1}, with s_0 = 0; sin h and cos h come
+    from the series with the term count of |h| below 3.75 degrees."""
+    terms = sin_terms_for(ws + GUARD, _TABLE_STEP_MILLI)
+    two_cos_h = fd_mul(FixedDec.from_int(2), cos_series(h, terms, ws))
+    sines = [FixedDec.from_int(0, ws), sin_series(h, terms, ws)]
+    while len(sines) <= count:
+        sines.append(fd_sub(fd_mul(two_cos_h, sines[-1]), sines[-2]))
+    return sines
+
+
+def _near_tie(value: FixedDec, scale: int, k: int) -> bool:
+    """Whether s_k, at a working scale past scale, lies within
+    _drift_ulp(k) of a half-away rounding tie at scale."""
+    dropped = 10 ** (value.scale - scale)
+    return abs(value.mantissa.to_int() % dropped - dropped // 2) < _drift_ulp(k)
+
+
+def _drift_ulp(k: int) -> int:
+    """A bound, in ulp at the recurrence's working scale, on
+    |s_k - sin(theta_k)|, theta_k the table entry's own theta_t, for a
+    step h with theta_k - k*h in [0, k-1] ulp: h theta_t of 3.75 degrees,
+    or theta_k / k truncated at a wider scale.
+
+    sin h and cos h are each within 2 ulp (one for the final truncation;
+    the series' remainder and rounding lie far below it), so every step
+    adds under 1 + 2 * 2 * |s_k| < 6 ulp: the truncated product and the
+    error of cos h.  The recurrence carries an error made at step j into
+    s_k times U_{k-1-j}(cos h) = sin((k-j) h) / sin h, at most k - j in
+    size: 2k + 3k(k-1) ulp in all.  sin is 1-Lipschitz, so the gap
+    between k*h and theta_k makes 3k**2 - 1.
+    """
+    return 3 * k * k
 
 
 def _sin_cos(u: Angle, ws: int) -> tuple[FixedDec, FixedDec]:
@@ -220,7 +267,7 @@ def taylor_shift_cos(u: Angle, h: FixedDec, scale: int) -> FixedDec:
 
 def _taylor_shift(u: Angle, h: FixedDec, scale: int, which: str) -> FixedDec:
     ws = scale + GUARD
-    _check_domain(u, _half_pi(ws), "pi/2")
+    _check_domain(u, Angle.for_scale(_RIGHT_ANGLE, scale).radians, "pi/2")
     if abs(fd_rescale(h, ws)) > fd_from_ratio(1, 2, 1, ws):
         raise ValueError("shift step must satisfy |h| <= 0.5")
     s, c = _sin_cos(u, ws)
@@ -245,7 +292,7 @@ def angle_add(x: Angle, y: Angle, which: str, scale: int) -> FixedDec:
     if which not in ADDITION_RULES:
         raise ValueError(f"unknown addition rule {which!r}")
     ws = scale + GUARD
-    half_pi = _half_pi(ws)
+    half_pi = Angle.for_scale(_RIGHT_ANGLE, scale).radians
     _check_domain(x, half_pi, "pi/2")
     _check_domain(y, half_pi, "pi/2")
     xw, yw = fd_rescale(x.radians, ws), fd_rescale(y.radians, ws)

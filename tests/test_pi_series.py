@@ -22,6 +22,7 @@ from madhava.pi_series import (
     F1,
     F2,
     F3,
+    GUARD,
     LEIBNIZ,
     NO_CORRECTION,
     SERIES,
@@ -38,6 +39,7 @@ from madhava.pi_series import (
     correction_term,
     error_bound,
     evaluate,
+    evaluate_digits,
     leibniz_corrected,
     leibniz_partial,
     leibniz_sweep,
@@ -398,6 +400,14 @@ class TestTermSelection:
             if bound_prev is not None:
                 assert bound_prev - drift >= Fraction(1, 10**digits)
 
+    @pytest.mark.parametrize("digits", (1, 3, 6))
+    def test_a_bound_equal_to_the_target_is_not_below_it(self, digits, monkeypatch):
+        # tail 1/(10n) equals 10**-digits at n = 10**(digits-1); the
+        # smallest n strictly below it is one more
+        monkeypatch.setitem(SERIES, "tenth", SeriesDef(lambda k: k, 1, alternating=False,
+                                                       tail=lambda n: (1, 10 * n)))
+        assert terms_for_digits("tenth", digits) == 10 ** (digits - 1) + 1
+
     def test_slow_series_refused(self):
         with pytest.raises(TermCountError):
             terms_for_digits(LEIBNIZ, 12)
@@ -538,3 +548,20 @@ class TestPiReference:
         ]
         for v in routes:
             assert abs(as_fraction(v) - pi_ref) < Fraction(1, 10**8)
+
+
+class TestEvaluateDigits:
+    @pytest.mark.parametrize("series_id, correction", [
+        *((series_id, NO_CORRECTION) for series_id in SERIES_IDS),
+        *((LEIBNIZ, correction) for correction in (F1, F2, F3))])
+    @pytest.mark.parametrize("digits", (1, 12, 40))
+    def test_is_evaluate_at_guard_digits_truncated(self, series_id, correction, digits):
+        def bits(x):
+            return None if x is None else (x.sign, x.mantissa.to_int(), x.scale)
+
+        for n in (1, 2, 17, 60):
+            want = evaluate(SeriesSpec(series_id, n, correction, digits + GUARD))
+            got = evaluate_digits(series_id, n, correction, digits)
+            assert bits(got.value) == bits(fd_rescale(want.value, digits))
+            assert bits(got.error_bound) == bits(want.error_bound)
+            assert got.terms_used == n

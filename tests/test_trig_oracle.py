@@ -23,9 +23,11 @@ from pathlib import Path
 
 import pytest
 
+from madhava import trig_series
+from madhava.bigfixed import BigNat, FixedDec
 from madhava.cli import main
 from madhava.pi_series import GUARD
-from madhava.trig_series import SINE_TABLE_SIZE, build_sine_table
+from madhava.trig_series import SINE_TABLE_SIZE, Angle, build_sine_table
 from conftest import machin_pi_floor, sin_round, trig_floor
 
 DIGESTS = json.loads(
@@ -61,8 +63,8 @@ RADIANS_XFAILS = (
     {("2", "sinsq", s) for s in RADIANS_SCALES} | {("2", "sin", 40), ("2", "cos", 40)}
     | {("3", fn, s) for fn in ("sin", "cos", "sinsq") for s in RADIANS_SCALES})
 
-TABLE_SCALES = (10, 40, 100, 140, 141, 200, 300)
-TABLE_XFAILS = {(141, 24), (200, 23), (200, 24)} | {(300, k) for k in range(20, 25)}
+TABLE_SCALES = (10, 13, 40, 47, 89, 100, 131, 140, 141, 167, 200, 211, 233, 259, 281, 300,
+                500, 1000)
 
 ITEM_8 = pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
 
@@ -140,15 +142,51 @@ def sine_table(scale: int) -> dict[int, str]:
 
 
 @pytest.mark.parametrize("scale, k", [
-    pytest.param(*entry, marks=ITEM_8) if entry in TABLE_XFAILS else entry
-    for entry in ((scale, k) for scale in TABLE_SCALES for k in range(1, SINE_TABLE_SIZE + 1))])
+    (scale, k) for scale in TABLE_SCALES for k in range(1, SINE_TABLE_SIZE + 1)])
 def test_sine_table_rounds_sin_at_the_table_angle(scale, k):
     # entry k is k * 3.75 degrees, built like a --degrees angle at the scale
     q = sin_round(cli_degrees_angle(Fraction(15 * k, 4), scale), scale)
     assert sine_table(scale)[k] == fixed(q, scale)
 
 
-@ITEM_8
 def test_sine_table_ninety_degrees_lands_on_one():
     k, value = build_sine_table(150).entries[-1]
     assert (k, str(value)) == (24, "1." + "0" * 150)
+
+
+@pytest.mark.parametrize("scale", (10, 40, 141, 300))
+def test_second_difference_sines_within_their_drift_bound(scale):
+    # s_k against floor(sin(theta_k) * 10**ws): the bound must cover the
+    # recurrence's real drift, which reaches a few hundred ulp at k = 24,
+    # on the table's grid and on the tie rerun's step theta_k / k.  The
+    # wide guard settles the floor at 30 and 90 degrees, where
+    # sin(theta_k) lies a hair below 1/2 and 1
+    def angle(theta: Fraction, ws: int) -> Angle:
+        return Angle(FixedDec(1, BigNat.from_int(floor(theta * 10**ws)), ws))
+
+    ws = scale + GUARD
+    grid = trig_series._second_difference_sines(
+        angle(cli_degrees_angle(Fraction(15, 4), scale), ws), SINE_TABLE_SIZE, ws)
+    assert [s.scale for s in grid] == [ws] * (SINE_TABLE_SIZE + 1)
+    for k in range(1, SINE_TABLE_SIZE + 1):
+        theta = cli_degrees_angle(Fraction(15 * k, 4), scale)
+        rerun = trig_series._second_difference_sines(angle(theta / k, ws + GUARD), k, ws + GUARD)
+        for value in (grid[k], rerun[k]):
+            low = trig_floor("sin", theta, value.scale, guard=2 * value.scale + 40)
+            margin = trig_series._drift_ulp(k)
+            assert low - margin + 1 < value.mantissa.to_int() < low + margin, k
+
+
+@pytest.mark.parametrize("scale", (10, 40, 100))
+def test_tie_fallback_gives_the_same_table(scale, monkeypatch):
+    # a margin of 10**GUARD ulp covers every residue at the table's
+    # working scale, so every entry reruns the recurrence once, GUARD
+    # digits wider, where the same margin clears the tie
+    table = build_sine_table(scale)
+    calls = []
+    rule = trig_series._second_difference_sines
+    monkeypatch.setattr(trig_series, "_drift_ulp", lambda k: 10**GUARD)
+    monkeypatch.setattr(trig_series, "_second_difference_sines",
+                        lambda *a: calls.append(a) or rule(*a))
+    assert build_sine_table(scale) == table
+    assert [count for _, count, _ in calls] == [SINE_TABLE_SIZE, *range(1, SINE_TABLE_SIZE + 1)]

@@ -348,6 +348,38 @@ class TestHalfPiBoundary:
                 shift(past, fd_from_string("0"), scale)
 
 
+class TestDomainSlack:
+    # a limit truncated from pi admits two ulp past it and no more
+    @pytest.mark.parametrize("scale", (0, 7, 30))
+    def test_series_admit_two_ulp_past_pi(self, scale):
+        ws = scale + GUARD
+        pi = pi_reference(ws).mantissa.to_int()
+        for fn in (sin_series, cos_series, sin_sq_series):
+            for sign in (1, -1):
+                fn(Angle(FixedDec(sign, BigNat.from_int(pi + 2), ws)), 3, scale)
+                with pytest.raises(ValueError):
+                    fn(Angle(FixedDec(sign, BigNat.from_int(pi + 3), ws)), 3, scale)
+
+    @pytest.mark.parametrize("scale", (0, 7, 30))
+    def test_shifts_and_rules_admit_two_ulp_past_half_pi(self, scale):
+        ws = scale + GUARD
+        right = Angle.for_scale(FixedDec.from_int(90), scale).radians.mantissa.to_int()
+        zero = Angle(FixedDec.from_int(0, ws))
+        h = fd_from_string("0")
+        for past, admitted in ((2, True), (3, False)):
+            u = Angle(FixedDec(1, BigNat.from_int(right + past), ws))
+            calls = (lambda: taylor_shift_sin(u, h, scale),
+                     lambda: taylor_shift_cos(u, h, scale),
+                     lambda: angle_add(u, zero, SIN_SUM, scale),
+                     lambda: angle_add(zero, u, COS_SUM, scale))
+            for call in calls:
+                if admitted:
+                    call()
+                else:
+                    with pytest.raises(ValueError):
+                        call()
+
+
 class TestReduceAngle:
     def test_round_trips(self):
         rng = random.Random(808)
@@ -397,3 +429,18 @@ class TestAngleConstruction:
         a = deg("3.75", 25)
         b = Angle.from_degrees(fd_from_string("3.750000"), 25)
         assert fd_to_string(a.radians) == fd_to_string(b.radians)
+
+
+class TestAngleForScale:
+    def test_is_from_degrees_at_the_guard_scale(self):
+        for text in ("0", "3.75", "-45.5", "90", "1000.125"):
+            degrees = fd_from_string(text)
+            assert Angle.for_scale(degrees, 25) == Angle.from_degrees(degrees, 25 + GUARD)
+
+    @pytest.mark.parametrize("scale", range(61))
+    def test_right_angle_is_half_of_the_floored_pi(self, scale):
+        # the pi/2 limit of the shift formulas and the addition rules
+        pi = pi_reference(scale + 2 * GUARD).mantissa.to_int()
+        got = Angle.for_scale(FixedDec.from_int(90), scale).radians
+        assert (got.sign, got.mantissa.to_int(), got.scale) == (
+            1, pi // (2 * 10**GUARD), scale + GUARD)
