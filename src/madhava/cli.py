@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 from .bigfixed import (
     FixedDec,
-    fd_from_ratio,
     fd_from_string,
     fd_rescale,
     fd_sub,
@@ -42,12 +41,12 @@ from .geometry import QuadSides, circumradius
 from .pi_series import (
     CORRECTIONS,
     DEFAULT_TERM_CAP,
-    LEIBNIZ,
     NO_CORRECTION,
     SCALE_CAP,
     SERIES_IDS,
     TermCountError,
     circumference_check,
+    corrections_for,
     evaluate_digits,
     leibniz_sweep,
     madhava_pi_value,
@@ -56,13 +55,15 @@ from .pi_series import (
 )
 from .trig_series import (
     ADDITION_RULES,
+    TRIG_TERM_CAP,
     Angle,
     angle_add,
     build_sine_table,
     cos_series,
+    full_domain_terms,
     sin_series,
     sin_sq_series,
-    sin_terms_for,
+    table_degrees,
     taylor_shift_cos,
     taylor_shift_sin,
 )
@@ -70,10 +71,6 @@ from .trig_series import (
 DEFAULT_SCALE = 20
 DEFAULT_DIGITS = 20
 DEFAULT_TABLE_SCALE = 10
-# sin_terms_for at SCALE_CAP plus the guard digits, on |theta| <= pi: the
-# most sine terms any admitted scale needs.  Stored, so that no process
-# pays for the search at import; tests/test_cli.py checks the two agree.
-TRIG_TERM_CAP = 488
 
 
 class VerifyCheck(NamedTuple):
@@ -140,9 +137,8 @@ def _check_sine_table() -> VerifyCheck:
     tol = FixedDec(1, 1, 8)  # 1e-8
     deviations = []
     for k, value in table.entries:
-        degrees = fd_from_ratio(15 * k, 4, 1, 22)
         # plain term-by-term sum: shares no code with the nested evaluator
-        radians = Angle.from_degrees(degrees, 30).radians
+        radians = Angle.for_scale(table_degrees(k), 20).radians
         independent = odd_power_series(radians, 15, 20, lambda j: factorial(2 * j + 1))
         deviations.append(abs(fd_sub(fd_rescale(value, 20), independent)))
     worst = max(deviations)
@@ -191,7 +187,7 @@ def build_verify_report() -> VerifyReport:
 # ---------------------------------------------------------------------------
 
 def cmd_pi(args, parser) -> int:
-    if args.correction != NO_CORRECTION and args.series != LEIBNIZ:
+    if args.correction not in corrections_for(args.series):
         parser.error("--correction applies to the leibniz series only")
     result = evaluate_digits(args.series, args.terms, args.correction, args.digits)
     value = fd_to_string(result.value)
@@ -236,7 +232,7 @@ def cmd_verify(args, parser) -> int:
 def _converge_rows(series_list, n_max, corrections, scale):
     pi_ref = pi_reference(scale)
     for series_id in series_list:
-        modes = list(CORRECTIONS) if (corrections == "all" and series_id == LEIBNIZ) else [NO_CORRECTION]
+        modes = corrections_for(series_id) if corrections == "all" else (NO_CORRECTION,)
         for mode in modes:
             for n in range(1, n_max + 1):
                 out = evaluate_digits(series_id, n, mode, scale).value
@@ -266,7 +262,7 @@ def cmd_converge(args, parser) -> int:
 def cmd_trig_eval(args, parser) -> int:
     angle = (Angle(args.radians) if args.degrees is None
              else Angle.for_scale(args.degrees, args.scale))
-    terms = args.terms if args.terms else sin_terms_for(args.scale, 3142)
+    terms = args.terms if args.terms else full_domain_terms(args.scale)
     fn = {"sin": sin_series, "cos": cos_series, "sinsq": sin_sq_series}[args.fn]
     print(fd_to_string(fn(angle, terms, args.scale)))
     return 0
@@ -276,8 +272,7 @@ def cmd_trig_table(args, parser) -> int:
     table = build_sine_table(args.scale)
     print("k,degrees,sin")
     for k, value in table.entries:
-        degrees = fd_to_string(fd_from_ratio(15 * k, 4, 1, 2))
-        print(f"{k},{degrees},{fd_to_string(value)}")
+        print(f"{k},{fd_to_string(table_degrees(k))},{fd_to_string(value)}")
     return 0
 
 

@@ -30,7 +30,7 @@ from .bigfixed import (
     fd_sub,
 )
 from .pi_series import GUARD, pi_reference
-from .trig_series import Angle, sin_series, sin_terms_for
+from .trig_series import Angle, full_domain_terms, sin_series
 
 
 class NotCyclicError(ValueError):
@@ -94,7 +94,7 @@ def circumradius_oracle(angles: Sequence[FixedDec], radius: FixedDec, scale: int
             raise ValueError("angles must be strictly increasing")
     gaps = [fd_sub(hi, lo) for lo, hi in zip(pts, pts[1:])]
     gaps.append(fd_sub(two_pi, fd_sub(pts[3], pts[0])))
-    terms = sin_terms_for(ws, 3142)
+    terms = full_domain_terms(ws)
     two_r = fd_mul(fd_rescale(radius, ws), FixedDec.from_int(2))
     sides = [fd_rescale(fd_mul(two_r, sin_series(Angle(fd_divn(g, 2)), terms, ws)), scale)
              for g in gaps]

@@ -142,6 +142,12 @@ CORRECTION_TERMS: dict[str, Callable[[int], tuple[int, int]]] = {
 }
 CORRECTIONS = (NO_CORRECTION, *CORRECTION_TERMS)
 
+
+def corrections_for(series_id: str) -> tuple[str, ...]:
+    """The correction modes a series admits: F1-F3 are Leibniz's only."""
+    return CORRECTIONS if series_id == LEIBNIZ else (NO_CORRECTION,)
+
+
 # Attributed circumference of a circle of diameter 9e11, and that diameter.
 MADHAVA_CIRCUMFERENCE = 2_827_433_388_233
 CIRCLE_DIAMETER = 9 * 10**11
@@ -177,7 +183,7 @@ class SeriesSpec(_SeriesSpec):
             raise ValueError("terms must be >= 1")
         if self.correction not in CORRECTIONS:
             raise ValueError(f"unknown correction {self.correction!r}")
-        if self.correction != NO_CORRECTION and self.series_id != LEIBNIZ:
+        if self.correction not in corrections_for(self.series_id):
             raise ValueError("corrections apply to the leibniz series only")
         if self.scale < 1:
             raise ValueError("scale must be >= 1")

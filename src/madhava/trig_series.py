@@ -58,7 +58,6 @@ COS_DIFF = "cos-diff"
 ADDITION_RULES = (SIN_SUM, SIN_DIFF, COS_SUM, COS_DIFF)
 
 SINE_TABLE_SIZE = 24  # one twenty-fourth of a quadrant: 3.75 degree steps
-_TABLE_STEP = fd_from_ratio(15, 4, 1, 2)  # 3.75 degrees, held exactly
 _TABLE_STEP_MILLI = 66  # 3.75 degrees is below 0.066 rad
 _RIGHT_ANGLE = FixedDec.from_int(90)
 
@@ -165,8 +164,8 @@ def sin_terms_for(digits: int, theta_bound_milli: int = 1571) -> int:
     """Smallest term count whose Lagrange bound theta**(2N+1)/(2N+1)! is
     below 10**-digits for |theta| <= theta_bound_milli/1000.
 
-    Defaults to 1.571, an upper bound for pi/2; pass 3142 for the full
-    [-pi, pi] domain.  Exact integer comparison throughout; both sides
+    Defaults to 1.571, an upper bound for pi/2; full_domain_terms
+    covers [-pi, pi].  Exact integer comparison throughout; both sides
     are running products, so the search is linear in the answer.
     """
     n = 1
@@ -177,6 +176,19 @@ def sin_terms_for(digits: int, theta_bound_milli: int = 1571) -> int:
         lhs *= theta_bound_milli**2
         rhs *= 2 * n * (2 * n + 1) * 1000**2
     return n
+
+
+def full_domain_terms(digits: int) -> int:
+    """sin_terms_for on the series' whole domain |theta| <= pi."""
+    return sin_terms_for(digits, 3142)
+
+
+TRIG_TERM_CAP = 488  # full_domain_terms(SCALE_CAP + GUARD), stored for a cheap import
+
+
+def table_degrees(k: int) -> FixedDec:
+    """Sine-table entry k's angle, k * 3.75 degrees, exact at scale 2."""
+    return fd_from_ratio(15 * k, 4, 1, 2)
 
 
 class SineTable(NamedTuple):
@@ -198,12 +210,12 @@ def build_sine_table(scale: int) -> SineTable:
     """
     if scale < 10:
         raise ValueError("sine table needs scale >= 10")
-    h = Angle.for_scale(_TABLE_STEP, scale)
+    h = Angle.for_scale(table_degrees(1), scale)
     entries = []
     for k, value in enumerate(_second_difference_sines(h, SINE_TABLE_SIZE, scale + GUARD)[1:], 1):
         while _near_tie(value, scale, k):
             ws = value.scale + GUARD
-            theta = Angle.for_scale(fd_mul(FixedDec.from_int(k), _TABLE_STEP), scale)
+            theta = Angle.for_scale(table_degrees(k), scale)
             value = _second_difference_sines(Angle(fd_divn(theta.radians, k, ws)), k, ws)[k]
         entries.append((k, fd_round(value, scale)))
     return SineTable(entries=tuple(entries), scale=scale)

@@ -52,7 +52,7 @@ def machin_pi_floor(scale: int, guard: int = 30) -> int:
     return low
 
 
-def _taylor_bracket(theta: Fraction, fn: str, work: int) -> tuple[int, int]:
+def taylor_bracket(theta: Fraction, fn: str, work: int) -> tuple[int, int]:
     """Integers lo <= f(theta) * 10**work <= hi for f = sin or cos, from
     the Taylor series in plain integers.
 
@@ -64,7 +64,7 @@ def _taylor_bracket(theta: Fraction, fn: str, work: int) -> tuple[int, int]:
     below one, so the omitted alternating tail is under that term's err.
     """
     if theta < 0:  # sin is odd, cos even; the loop floors non-negative terms
-        lo, hi = _taylor_bracket(-theta, fn, work)
+        lo, hi = taylor_bracket(-theta, fn, work)
         return (-hi, -lo) if fn == "sin" else (lo, hi)
     one = 10**work
     x, rest = divmod(theta.numerator * one, theta.denominator)
@@ -88,7 +88,7 @@ def trig_floor(fn: str, theta: Fraction, scale: int, guard: int = 30) -> int:
     whole error interval at scale + guard settles it.
     """
     work = scale + guard
-    lo, hi = _taylor_bracket(theta, "sin" if fn == "sinsq" else fn, work)
+    lo, hi = taylor_bracket(theta, "sin" if fn == "sinsq" else fn, work)
     drop = guard
     if fn == "sinsq":  # the squares sit at scale 2 * work
         squares = (lo * lo, hi * hi)
@@ -107,7 +107,7 @@ def sin_round(theta: Fraction, scale: int, guard: int = 30) -> int:
     interval at scale + guard settles it.
     """
     assert 0 <= theta
-    lo, hi = _taylor_bracket(theta, "sin", scale + guard)
+    lo, hi = taylor_bracket(theta, "sin", scale + guard)
     half = 5 * 10 ** (guard - 1)
     low, high = (lo + half) // 10**guard, (hi + half) // 10**guard
     assert low == high, f"{guard} guard digits do not settle sin at scale {scale}"

@@ -80,6 +80,9 @@ MUTANTS = (
     Mutant("evaluate-digits-no-guard", "pi_series.py",
            "evaluate(SeriesSpec(series_id, terms, correction, digits + GUARD))",
            "evaluate(SeriesSpec(series_id, terms, correction, digits))", (PI_SERIES,)),
+    Mutant("corrections-for-every-series", "pi_series.py",
+           "return CORRECTIONS if series_id == LEIBNIZ else (NO_CORRECTION,)",
+           "return CORRECTIONS", (PI_SERIES, CLI)),
     # trig
     Mutant("domain-slack-narrowed", "trig_series.py",
            "slack = FixedDec(1, 2, limit.scale)", "slack = FixedDec(1, 1, limit.scale)", (TRIG,)),
@@ -97,9 +100,16 @@ MUTANTS = (
            "return 3 * k * k", "return 3 * k", (TRIG_ORACLE,)),
     Mutant("tie-fallback-never", "trig_series.py",
            "< _drift_ulp(k)", "< 0 * _drift_ulp(k)", (TRIG_ORACLE,)),
+    Mutant("full-domain-half-pi", "trig_series.py",
+           "sin_terms_for(digits, 3142)", "sin_terms_for(digits, 1571)", (TRIG_ORACLE, CLI)),
+    Mutant("table-step-four-degrees", "trig_series.py",
+           "fd_from_ratio(15 * k, 4, 1, 2)", "fd_from_ratio(16 * k, 4, 1, 2)", (TRIG_ORACLE,)),
     # command line
     Mutant("converge-cap-raised", "cli.py",
            "if terms > DEFAULT_TERM_CAP:", "if terms > DEFAULT_TERM_CAP + 1000:", (CLI,)),
+    Mutant("verify-angle-narrowed", "cli.py",
+           "Angle.for_scale(table_degrees(k), 20)", "Angle.for_scale(table_degrees(k), 10)",
+           (TRIG_ORACLE,)),
 )
 
 

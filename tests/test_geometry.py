@@ -1,7 +1,9 @@
 """Circumradius formula vs the constructive inscribed-quadrilateral oracle."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -13,6 +15,7 @@ from madhava.bigfixed import (
     fd_mul,
     fd_to_string,
 )
+from madhava.cli import main
 from madhava.geometry import NotCyclicError, QuadSides, circumradius, circumradius_oracle
 from conftest import as_fraction
 
@@ -115,3 +118,33 @@ class TestOracle:
             circumradius_oracle([fd("0"), fd("1"), fd("2")], fd("1"), 12)
         with pytest.raises(ValueError):
             circumradius_oracle([fd("0"), fd("1"), fd("2"), fd("6.4")], fd("1"), 12)
+
+
+def random_sides(rng):
+    """Four decimal lengths in 0.1..10 with at most three decimals, every
+    bracket (three sides less the fourth) above 1, so no admitted scale
+    refuses them."""
+    while True:
+        places = [rng.randint(0, 3) for _ in range(4)]
+        sides = [str(Decimal(rng.randint(max(1, 10**p // 10), 10 ** (p + 1))).scaleb(-p))
+                 for p in places]
+        exact = [Fraction(t) for t in sides]
+        if all(sum(exact) - 2 * t > 1 for t in exact):
+            return sides
+
+
+@pytest.mark.parametrize("scale, draw", [
+    (scale, draw) for scale in (0, 1, 12, 40, 200, 1000, 2000) for draw in range(8)])
+def test_quad_radius_prints_the_floor_of_the_exact_radius(scale, draw, capsys):
+    # R**2 = (ab+cd)(ac+bd)(ad+bc) / ((b+c+d-a)(a+c+d-b)(a+b+d-c)(a+b+c-d)),
+    # exact in Fractions; floor(R * 10**scale) is isqrt of floor(R**2 * 10**(2 * scale))
+    sides = random_sides(random.Random(1000 * scale + draw))
+    a, b, c, d = (Fraction(t) for t in sides)
+    perimeter = a + b + c + d
+    r2 = (a * b + c * d) * (a * c + b * d) * (a * d + b * c)
+    for t in (a, b, c, d):
+        r2 /= perimeter - 2 * t
+    assert main(["quad", "radius", "--sides", ",".join(sides), "--scale", str(scale)]) == 0
+    out = capsys.readouterr().out.rstrip("\n")
+    assert len(out.partition(".")[2]) == scale
+    assert int(out.replace(".", "")) == isqrt(r2.numerator * 10 ** (2 * scale) // r2.denominator)

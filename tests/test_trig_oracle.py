@@ -8,6 +8,11 @@ degrees * pi, with pi floored at scale + 2*GUARD, over 180, floored at
 scale + GUARD.  A sine-table entry is sin(theta_t) rounded half away
 from zero at the table scale, with theta_t built the same way.
 
+`trig addrule` prints sin or cos of theta_t(x) +- theta_t(y), the value
+its rule equals, and `trig shift` the three-term formula on the exact
+sin and cos of theta_t(u) and the exact --h, each truncated at the
+scale.
+
 The digest keys with rational exact values (sin 30, cos 60, sin^2 45
 and the like) are checked with a wide oracle guard: theta_t sits just
 below the exact angle, so f(theta_t) lies a hair off the rational value
@@ -23,12 +28,12 @@ from pathlib import Path
 
 import pytest
 
-from madhava import trig_series
+from madhava import cli, trig_series
 from madhava.bigfixed import BigNat, FixedDec
 from madhava.cli import main
 from madhava.pi_series import GUARD
 from madhava.trig_series import SINE_TABLE_SIZE, Angle, build_sine_table
-from conftest import machin_pi_floor, sin_round, trig_floor
+from conftest import as_fraction, machin_pi_floor, sin_round, taylor_bracket, trig_floor
 
 DIGESTS = json.loads(
     (Path(__file__).resolve().parents[1] / "bench" / "digests.json").read_text(encoding="utf-8"))
@@ -154,6 +159,18 @@ def test_sine_table_ninety_degrees_lands_on_one():
     assert (k, str(value)) == (24, "1." + "0" * 150)
 
 
+def test_verify_sums_the_sine_series_at_the_table_angles(monkeypatch):
+    # verify's independent check of each entry sums the series at the
+    # entry's own theta_t for scale 20
+    seen = []
+    series = cli.odd_power_series
+    monkeypatch.setattr(cli, "odd_power_series",
+                        lambda x, *rest: seen.append(x) or series(x, *rest))
+    assert cli._check_sine_table().passed
+    assert [as_fraction(x) for x in seen] == [
+        cli_degrees_angle(Fraction(15 * k, 4), 20) for k in range(1, SINE_TABLE_SIZE + 1)]
+
+
 @pytest.mark.parametrize("scale", (10, 40, 141, 300))
 def test_second_difference_sines_within_their_drift_bound(scale):
     # s_k against floor(sin(theta_k) * 10**ws): the bound must cover the
@@ -190,3 +207,43 @@ def test_tie_fallback_gives_the_same_table(scale, monkeypatch):
                         lambda *a: calls.append(a) or rule(*a))
     assert build_sine_table(scale) == table
     assert [count for _, count, _ in calls] == [SINE_TABLE_SIZE, *range(1, SINE_TABLE_SIZE + 1)]
+
+
+# sin(50 + 35), cos(41 + 37), sin(80 - 13), cos(89 - 1): irrational, so
+# the oracle settles every truncation
+ADDRULE_CASES = (("sin-sum", "50", "35"), ("sin-diff", "80", "13"),
+                 ("cos-sum", "41", "37"), ("cos-diff", "89", "1"))
+SHIFT_CASES = (("sin", "35", "0.11"), ("cos", "89", "-0.2"))
+RULE_SCALES = (20, 60, 200, 400)
+RULE_XFAILS = {("cos-diff", 200), ("cos-diff", 400), ("sin-diff", 400), ("cos", 200), ("cos", 400)}
+
+
+def rule_params(cases):
+    return [pytest.param(*case, scale, marks=ITEM_8) if (case[0], scale) in RULE_XFAILS
+            else (*case, scale) for case in cases for scale in RULE_SCALES]
+
+
+@pytest.mark.parametrize("rule, x, y, scale", rule_params(ADDRULE_CASES))
+def test_addrule_prints_the_truncation_of_its_rule(rule, x, y, scale, capsys):
+    tx, ty = cli_degrees_angle(x, scale), cli_degrees_angle(y, scale)
+    theta = tx + ty if rule.endswith("sum") else tx - ty
+    argv = ["trig", "addrule", "--rule", rule, "--x-degrees", x, "--y-degrees", y,
+            "--scale", str(scale)]
+    assert printed(capsys, argv) == truncation(rule[:3], theta, scale)
+
+
+@pytest.mark.parametrize("fn, u, h, scale", rule_params(SHIFT_CASES))
+def test_shift_prints_the_truncation_of_the_three_term_formula(fn, u, h, scale, capsys):
+    # a + h*b - h**2/2 * a, with (a, b) = (sin u, cos u) or (cos u, -sin u),
+    # bracketed from the oracle's ends; |h| <= 0.5 keeps 1 - h**2/2 positive
+    work = scale + 30
+    s, c = (taylor_bracket(cli_degrees_angle(u, scale), f, work) for f in ("sin", "cos"))
+    (a_lo, a_hi), (b_lo, b_hi) = (s, c) if fn == "sin" else (c, (-s[1], -s[0]))
+    step = Fraction(h)
+    keep = 1 - step * step / 2
+    moves = sorted((step * b_lo, step * b_hi))
+    low, high = (int((keep * a + move) * 10**scale / 10**work)
+                 for a, move in ((a_lo, moves[0]), (a_hi, moves[1])))
+    assert low == high, f"the oracle does not settle the shift at scale {scale}"
+    argv = ["trig", "shift", "--fn", fn, "--u-degrees", u, "--h", h, "--scale", str(scale)]
+    assert printed(capsys, argv) == fixed(low, scale)
