@@ -5,9 +5,12 @@ The formula:
     R = sqrt( (ab+cd)(ac+bd)(ad+bc)
               / ((b+c+d-a)(a+c+d-b)(a+b+d-c)(a+b+c-d)) )
 
-It is evaluated literally as printed; the three numerator pair-sums and
-the four denominator brackets permute among themselves under cyclic
-rotation and reversal of the sides, so no canonicalization is needed.
+It is evaluated in exact integers: the sides are read as multiples of
+10**-e (e the largest side scale), R**2 is floored once at twice the
+output scale and its floor square root is R floored at that scale.  The
+three numerator pair-sums and the four denominator brackets permute
+among themselves under cyclic rotation and reversal of the sides, so no
+canonicalization is needed.
 
 circumradius_oracle is the constructive inverse used for testing: place
 four points on a circle of known radius at given angles, return the chord
@@ -21,9 +24,8 @@ from typing import NamedTuple, Sequence
 
 from .bigfixed import (
     FixedDec,
-    fd_add,
-    fd_div,
     fd_divn,
+    fd_from_ratio,
     fd_isqrt,
     fd_mul,
     fd_rescale,
@@ -50,31 +52,25 @@ class QuadSides(NamedTuple):
 
 
 def circumradius(q: QuadSides, scale: int) -> FixedDec:
-    """Circumradius at the given scale (truncating contract).
+    """Circumradius floored at the given scale.
 
     Rejects non-positive sides and side sets where any bracket
-    (sum of three sides minus the fourth) is zero within 10**-scale:
-    dividing by a truncated near-zero is meaningless at fixed scale.
+    (sum of three sides minus the fourth) is at most 10**-scale:
+    dividing by a near-zero is meaningless at fixed scale.
     """
-    ws = scale + GUARD
-    zero = FixedDec.from_int(0, ws)
-    sides = [fd_rescale(s, ws) for s in q.as_tuple()]
-    if any(s <= zero for s in sides):
+    e = max(s.scale for s in q.as_tuple())  # sides in units of 10**-e
+    a, b, c, d = sides = [s.sign * s.mantissa.to_int() * 10 ** (e - s.scale)
+                          for s in q.as_tuple()]
+    if any(s <= 0 for s in sides):
         raise ValueError("sides must all be positive")
-    a, b, c, d = sides
-    perimeter = fd_add(fd_add(a, b), fd_add(c, d))
-    brackets = [fd_sub(perimeter, fd_add(s, s)) for s in sides]
-    threshold = FixedDec(1, 1, scale)  # 10**-scale
-    for br in brackets:
-        if br <= threshold:
-            raise NotCyclicError("not a cyclic-quadrilateral side set: "
-                                 "a three-side sum does not exceed the fourth side")
-    num = fd_mul(fd_mul(fd_add(fd_mul(a, b), fd_mul(c, d)),
-                        fd_add(fd_mul(a, c), fd_mul(b, d))),
-                 fd_add(fd_mul(a, d), fd_mul(b, c)))
-    den = fd_mul(fd_mul(brackets[0], brackets[1]), fd_mul(brackets[2], brackets[3]))
-    ratio = fd_div(num, den, ws)
-    return fd_rescale(fd_isqrt(ratio, ws), scale)
+    brackets = [a + b + c + d - 2 * s for s in sides]
+    if any(br * 10**scale <= 10**e for br in brackets):
+        raise NotCyclicError("not a cyclic-quadrilateral side set: "
+                             "a three-side sum does not exceed the fourth side")
+    num = (a * b + c * d) * (a * c + b * d) * (a * d + b * c)
+    den = brackets[0] * brackets[1] * brackets[2] * brackets[3]
+    # floor(sqrt(floor(x))) == floor(sqrt(x)), so both floors are R's own
+    return fd_isqrt(fd_from_ratio(num, den * 10 ** (2 * e), 1, 2 * scale), scale)
 
 
 def circumradius_oracle(angles: Sequence[FixedDec], radius: FixedDec, scale: int) -> QuadSides:

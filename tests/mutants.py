@@ -35,6 +35,7 @@ PI_SERIES = "tests/test_pi_series.py"
 TRIG = "tests/test_trig_series.py"
 TRIG_ORACLE = "tests/test_trig_oracle.py"
 CLI = "tests/test_cli.py"
+GEOMETRY = "tests/test_geometry.py"
 
 
 class Mutant(NamedTuple):
@@ -104,6 +105,13 @@ MUTANTS = (
            "sin_terms_for(digits, 3142)", "sin_terms_for(digits, 1571)", (TRIG_ORACLE, CLI)),
     Mutant("table-step-four-degrees", "trig_series.py",
            "fd_from_ratio(15 * k, 4, 1, 2)", "fd_from_ratio(16 * k, 4, 1, 2)", (TRIG_ORACLE,)),
+    # geometry
+    Mutant("bracket-admits-one-ulp", "geometry.py",
+           "br * 10**scale <= 10**e", "br * 10**scale < 10**e", (GEOMETRY,)),
+    Mutant("radius-squared-units-once", "geometry.py",
+           "den * 10 ** (2 * e)", "den * 10**e", (GEOMETRY,)),
+    Mutant("zero-side-admitted", "geometry.py",
+           "if any(s <= 0 for s in sides):", "if any(s < 0 for s in sides):", (GEOMETRY,)),
     # command line
     Mutant("converge-cap-raised", "cli.py",
            "if terms > DEFAULT_TERM_CAP:", "if terms > DEFAULT_TERM_CAP + 1000:", (CLI,)),

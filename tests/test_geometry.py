@@ -1,6 +1,7 @@
 """Circumradius formula vs the constructive inscribed-quadrilateral oracle."""
 
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
@@ -133,18 +134,77 @@ def random_sides(rng):
             return sides
 
 
-@pytest.mark.parametrize("scale, draw", [
-    (scale, draw) for scale in (0, 1, 12, 40, 200, 1000, 2000) for draw in range(8)])
-def test_quad_radius_prints_the_floor_of_the_exact_radius(scale, draw, capsys):
-    # R**2 = (ab+cd)(ac+bd)(ad+bc) / ((b+c+d-a)(a+c+d-b)(a+b+d-c)(a+b+c-d)),
-    # exact in Fractions; floor(R * 10**scale) is isqrt of floor(R**2 * 10**(2 * scale))
-    sides = random_sides(random.Random(1000 * scale + draw))
-    a, b, c, d = (Fraction(t) for t in sides)
+def radius_floor(sides, scale):
+    """floor(R * 10**scale) from the closed form in exact Fractions:
+    R**2 = (ab+cd)(ac+bd)(ad+bc) / ((b+c+d-a)(a+c+d-b)(a+b+d-c)(a+b+c-d)),
+    and floor(R * 10**scale) is isqrt of floor(R**2 * 10**(2 * scale))."""
+    a, b, c, d = (Fraction(t) for t in sides.split(","))
     perimeter = a + b + c + d
     r2 = (a * b + c * d) * (a * c + b * d) * (a * d + b * c)
     for t in (a, b, c, d):
         r2 /= perimeter - 2 * t
-    assert main(["quad", "radius", "--sides", ",".join(sides), "--scale", str(scale)]) == 0
+    return isqrt(r2.numerator * 10 ** (2 * scale) // r2.denominator)
+
+
+def printed_radius(sides, scale, capsys):
+    """`quad radius` stdout as an integer count of 10**-scale."""
+    assert main(["quad", "radius", "--sides", sides, "--scale", str(scale)]) == 0
     out = capsys.readouterr().out.rstrip("\n")
     assert len(out.partition(".")[2]) == scale
-    assert int(out.replace(".", "")) == isqrt(r2.numerator * 10 ** (2 * scale) // r2.denominator)
+    return int(out.replace(".", ""))
+
+
+def decimal_str(units, places):
+    """units * 10**-places as a decimal string with `places` decimals."""
+    digits = str(units).rjust(places + 1, "0")
+    return f"{digits[:-places]}.{digits[-places:]}" if places else digits
+
+
+@pytest.mark.parametrize("scale, draw", [
+    (scale, draw) for scale in (0, 1, 12, 40, 200, 1000, 2000) for draw in range(8)])
+def test_quad_radius_prints_the_floor_of_the_exact_radius(scale, draw, capsys):
+    sides = ",".join(random_sides(random.Random(1000 * scale + draw)))
+    assert printed_radius(sides, scale, capsys) == radius_floor(sides, scale)
+
+
+@pytest.mark.parametrize("sides, scale", [
+    # one bracket a small multiple of 10**-scale: R**2 divides by it
+    ("3,1,1,1.00000000011", 10),
+    ("3,1,1,1.00000000000000000002", 20),
+    ("3,1,1,1." + "0" * 39 + "2", 40),
+    ("3,1,1,1." + "0" * 199 + "3", 200),
+    ("3,1,1,1.00000000010000000001", 10),
+    # sides finer than scale + 10 decimals whose bracket b + c + d - a is
+    # 10**-scale + 10**-(scale + 15), or 10**-10 + 10**-21
+    *((f"3,1,1,{decimal_str(10 ** (scale + 15) + 10**15 + 1, scale + 15)}", scale)
+      for scale in (0, 10, 40)),
+    ("3,1,1,1.000000000100000000001", 10),
+    *((f"1.5,0.5,2.5,{decimal_str(5 * 10 ** (scale - 1) + 3, scale)}", scale)
+      for scale in (10, 20, 40, 200)),
+], ids=lambda v: re.sub(r"0{8,}", lambda m: f"0{{{len(m[0])}}}", str(v)))
+def test_ill_conditioned_sides_print_the_exact_floor(sides, scale, capsys):
+    assert printed_radius(sides, scale, capsys) == radius_floor(sides, scale)
+
+
+NOT_CYCLIC = ("not a cyclic-quadrilateral side set: "
+              "a three-side sum does not exceed the fourth side")
+
+
+def refusal(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [0, 10, 40])
+def test_bracket_of_exactly_one_ulp_is_refused(scale, capsys):
+    sides = f"3,1,1,{decimal_str(10**scale + 1, scale)}"  # b + c + d - a == 10**-scale
+    err = refusal(["quad", "radius", "--sides", sides, "--scale", str(scale)], capsys)
+    assert err.rstrip("\n").endswith(f"error: {NOT_CYCLIC}")
+
+
+@pytest.mark.parametrize("sides", ["-1,1,1,1", "0,1,1,1", "1,1,0.0,1"])
+def test_non_positive_side_is_refused(sides, capsys):
+    err = refusal(["quad", "radius", f"--sides={sides}", "--scale", "10"], capsys)
+    assert err.rstrip("\n").endswith("error: sides must all be positive")
