@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import re
+from typing import Callable
 
 BASE = 10**9
 LIMB_DIGITS = 9
@@ -433,6 +434,17 @@ def fd_round(a: FixedDec, scale: int) -> FixedDec:
     drop = a.scale - scale
     half = BigNat.from_int(5 * 10 ** (drop - 1))
     return FixedDec(a.sign, (a.mantissa + half).unshift10(drop), scale)
+
+
+def settled(lo: FixedDec, hi: FixedDec, scale: int,
+            rounding: Callable[[FixedDec, int], FixedDec] = fd_rescale) -> FixedDec | None:
+    """The value that both ends of an interval give at scale under
+    rounding (fd_rescale truncates, fd_round rounds half away), or None
+    when the two differ.  Both roundings are monotone, so a value that
+    lies between the ends gives the same one: Ziv's (1991) rounding
+    test.  On None the caller widens its interval and asks again."""
+    low, high = rounding(lo, scale), rounding(hi, scale)
+    return low if low == high else None
 
 
 def fd_isqrt(a: FixedDec, scale: int) -> FixedDec:

@@ -42,15 +42,21 @@ each bit-identical to ``leibniz_partial`` / ``leibniz_corrected``.
 memoised; every module that needs pi reads it.  It does not use the
 truncated kernel: it brackets pi between sqrt(12) times two consecutive
 exact sqrt12 partial sums, held as integers, and returns the floor both
-ends share.
+ends share, as ``bigfixed.settled`` decides.
 
 Numerical contract: a call with working scale s sums reciprocals that are
 individually truncated at s, so the result carries the analytic series
 error plus a truncation drift: each term loses under 10**-s, alternating
 signs cancel about half of that, and the multiplier scales the rest, so
 sqrt12 drifts by at most (1.74n + 4) * 10**-s (``error_bound`` reports
-only n + 4).  ``evaluate_digits`` holds the guard-digit convention: d
-digits are computed at s = d + GUARD and the value truncated to d.
+only n + 4).  ``evaluate_digits`` holds the printed convention: d digits
+are computed at s = d + BOUND_DIGITS, the value truncated to d and the
+bound printed at s.
+
+Two constants of the same value say different things.  BOUND_DIGITS is
+part of what ``pi`` prints.  GUARD is only where a kernel starts and how
+far a settle retry widens: ``pi_reference`` prints the same digits for
+any GUARD >= 1.
 
 The leading constants in aux-a (3/4) and aux-d (1/2) are always included
 and never counted in n.  Term denominators are constructed as exact
@@ -76,6 +82,7 @@ from .bigfixed import (
     fd_mul,
     fd_rescale,
     fd_round,
+    settled,
 )
 
 LEIBNIZ = "leibniz"
@@ -90,8 +97,13 @@ F1 = "f1"
 F2 = "f2"
 F3 = "f3"
 
-# Guard digits: d requested digits are computed at scale d + GUARD.
+# Where the kernels start past the requested scale, and how many more
+# digits a settle retry asks for; no printed digit depends on it.
 GUARD = 10
+# The extra digits of pi's printed error bound: d digits are evaluated
+# at d + BOUND_DIGITS.  Until each value is proven by its own bracket,
+# this scale also carries the value's precision.
+BOUND_DIGITS = 10
 
 
 class SeriesDef(NamedTuple):
@@ -369,27 +381,31 @@ def pi_reference(scale: int) -> FixedDec:
     The sqrt12 terms alternate and shrink, so pi lies between sqrt(12)
     times the exact partial sums S_n and S_{n+1}.  S_m is a plain integer
     over common * 3**(m-1), common the lcm of the odd denominators, and
-    each end is floored at the scale by math.isqrt.  When the two floors
-    agree they are pi's; otherwise n grows by GUARD terms and it retries,
-    which ends because pi is irrational.  n starts with the analytic
-    bound two digits past the request.  Memoised by scale, so every
-    caller at one scale shares one computation."""
+    each end is floored at the scale by math.isqrt.  When settled finds
+    the two floors equal they are pi's; otherwise n becomes the analytic
+    bound's count for GUARD more digits and it retries, which ends
+    because pi is irrational.  The first n is that count two digits past
+    the request.  Memoised by scale, so every caller at one scale shares
+    one computation."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    n = terms_for_digits(SQRT12, scale + 2)
+    digits = scale + 2
     while True:
+        n = terms_for_digits(SQRT12, digits)
         common = math.lcm(*range(1, 2 * n + 2, 2))
-        floors = []
+        ends = []
         acc = 0  # after term m: S_m * common * 3**(m-1)
         for k in range(1, n + 2):
             term = common // (2 * k - 1)
             acc = 3 * acc + (term if k % 2 else -term)
             if k >= n:
                 den = common * 3 ** (k - 1)
-                floors.append(math.isqrt(12 * acc * acc * 100**scale // (den * den)))
-        if floors[0] == floors[1]:
-            return FixedDec(1, floors[0], scale)
-        n += GUARD
+                floor = math.isqrt(12 * acc * acc * 100**scale // (den * den))
+                ends.append(FixedDec(1, floor, scale))
+        pi = settled(*ends, scale)
+        if pi is not None:
+            return pi
+        digits += GUARD
 
 
 class CircumferenceReport(NamedTuple):
@@ -487,9 +503,10 @@ def evaluate(spec: SeriesSpec) -> PiResult:
 
 
 def evaluate_digits(series_id: str, terms: int, correction: str, digits: int) -> PiResult:
-    """The guard-digit convention in one place: evaluate at digits + GUARD
-    and truncate the value to digits; the bound stays at the working scale."""
-    result = evaluate(SeriesSpec(series_id, terms, correction, digits + GUARD))
+    """The printed convention in one place: evaluate at digits +
+    BOUND_DIGITS and truncate the value to digits; the bound stays at
+    that scale, as ``pi`` prints it."""
+    result = evaluate(SeriesSpec(series_id, terms, correction, digits + BOUND_DIGITS))
     return result._replace(value=fd_rescale(result.value, digits))
 
 

@@ -8,22 +8,27 @@ add per coefficient (then times theta for sin, theta**2 for sin^2).  A
 table is built from exact integer ratios and truncated once, so repeated
 calls share identical coefficients.
 
-Angles are FixedDec radians.  Degree construction converts through
-pi_reference with ten guard digits; Angle.for_scale(degrees, scale) is
-theta_t, the angle a degree argument names for a result at scale, and
-the pi/2 limit of the shift formulas and addition rules is theta_t of 90
-degrees.  The series contracts hold for |theta| <= pi; use reduce_angle
+Angles are FixedDec radians.  Angle.for_scale(degrees, scale) is
+theta_t, the angle a degree argument names for a result at scale:
+degrees * pi / 180 floored at scale + ANGLE_DIGITS, with pi floored at
+scale + 2*ANGLE_DIGITS.  The pi/2 limit of the shift formulas and
+addition rules is theta_t of 90 degrees, and the series' pi limit is pi
+floored at scale + ANGLE_DIGITS.  ANGLE_DIGITS is part of what the CLI
+prints.  The series contracts hold for |theta| <= pi; use reduce_angle
 first for anything wider.
 
 The sine table runs the second-difference rule s_{k+1} = 2 cos(h) s_k -
-s_{k-1} over h = 3.75 degrees from one sin h and one cos h.  Where an
-entry's drift bound reaches a rounding tie, the rule is rerun for that
-entry alone at more digits until the bound clears it.
+s_{k-1} over h = 3.75 degrees from one sin h and one cos h.  Where
+bigfixed.settled finds that an entry's drift bound reaches a rounding
+tie, the rule is rerun for that entry alone at GUARD more digits until
+the bound clears it, so the table prints the same digits for any
+GUARD >= 1.
 
 Every public operation takes a target scale and truncates its result to
-it.  The series and reduce_angle work at scale + GUARD.  The sine table,
-the shift formulas and the addition rules work at scale + GUARD and ask
-the series for that scale, so their series run at scale + 2*GUARD.  The one
+it.  GUARD says only where the kernels start: the series and
+reduce_angle work at scale + GUARD, and the sine table, the shift
+formulas and the addition rules work at scale + GUARD and ask the series
+for that scale, so their series run at scale + 2*GUARD.  The one
 exception to truncate-everywhere is the final quantization of sine-table
 entries, which rounds half-away so that exact values (sin 30 = 0.5,
 sin 90 = 1) survive at table scale.
@@ -44,6 +49,7 @@ from .bigfixed import (
     fd_rescale,
     fd_round,
     fd_sub,
+    settled,
 )
 from .pi_series import GUARD, pi_reference
 
@@ -60,6 +66,10 @@ ADDITION_RULES = (SIN_SUM, SIN_DIFF, COS_SUM, COS_DIFF)
 SINE_TABLE_SIZE = 24  # one twenty-fourth of a quadrant: 3.75 degree steps
 _TABLE_STEP_MILLI = 66  # 3.75 degrees is below 0.066 rad
 _RIGHT_ANGLE = FixedDec.from_int(90)
+# theta_t's extra digits: a degree argument's angle for a result at
+# scale is floored at scale + ANGLE_DIGITS from pi floored ANGLE_DIGITS
+# further; the pi and pi/2 domain limits read the same digits.
+ANGLE_DIGITS = 10
 
 
 class Angle(NamedTuple):
@@ -69,15 +79,16 @@ class Angle(NamedTuple):
 
     @classmethod
     def from_degrees(cls, degrees: FixedDec, scale: int) -> "Angle":
-        """degrees * pi / 180, truncated at the given scale."""
-        pi = pi_reference(scale + GUARD)
-        prod = fd_mul(fd_rescale(degrees, scale + GUARD), pi)
+        """degrees * pi / 180, truncated at the given scale, with pi
+        floored ANGLE_DIGITS further."""
+        pi = pi_reference(scale + ANGLE_DIGITS)
+        prod = fd_mul(fd_rescale(degrees, scale + ANGLE_DIGITS), pi)
         return cls(fd_divn(prod, 180, scale))
 
     @classmethod
     def for_scale(cls, degrees: FixedDec, scale: int) -> "Angle":
         """theta_t, a degree argument's angle for a result at scale."""
-        return cls.from_degrees(degrees, scale + GUARD)
+        return cls.from_degrees(degrees, scale + ANGLE_DIGITS)
 
 
 # Coefficient k in x = theta**2 is (-1)**k * num / den, (num, den) = term(k).
@@ -135,8 +146,8 @@ def _check_domain(theta: Angle, limit: FixedDec, what: str) -> None:
 
 
 def _power_series(purpose: str, theta: Angle, terms: int, scale: int) -> FixedDec:
+    _check_domain(theta, pi_reference(scale + ANGLE_DIGITS), "pi")
     ws = scale + GUARD
-    _check_domain(theta, pi_reference(ws), "pi")
     table = coeff_table(purpose, terms, ws)
     return fd_rescale(nested_eval(table, theta, ws), scale)
 
@@ -183,7 +194,7 @@ def full_domain_terms(digits: int) -> int:
     return sin_terms_for(digits, 3142)
 
 
-TRIG_TERM_CAP = 488  # full_domain_terms(SCALE_CAP + GUARD), stored for a cheap import
+TRIG_TERM_CAP = 488  # full_domain_terms(SCALE_CAP + ANGLE_DIGITS), stored for a cheap import
 
 
 def table_degrees(k: int) -> FixedDec:
@@ -203,9 +214,9 @@ def build_sine_table(scale: int) -> SineTable:
 
     Entry k is the second-difference sine s_k rounded half-away at the
     table scale, so the exact grid points (30 and 90 degrees) land on 0.5
-    and 1.  Where s_k lies within _drift_ulp(k) of a rounding tie, the
-    recurrence is rerun for entry k alone with step theta_k / k, GUARD
-    more digits at a time, until it clears the tie; sin(theta_k) of a
+    and 1.  Where s_k +- _drift_ulp(k) do not settle to one rounding,
+    the recurrence is rerun for entry k alone with step theta_k / k,
+    GUARD more digits at a time, until they do; sin(theta_k) of a
     nonzero rational theta_k is never a tie, so the loop ends.
     """
     if scale < 10:
@@ -213,31 +224,30 @@ def build_sine_table(scale: int) -> SineTable:
     h = Angle.for_scale(table_degrees(1), scale)
     entries = []
     for k, value in enumerate(_second_difference_sines(h, SINE_TABLE_SIZE, scale + GUARD)[1:], 1):
-        while _near_tie(value, scale, k):
+        while True:
+            drift = FixedDec(1, _drift_ulp(k), value.scale)
+            entry = settled(fd_sub(value, drift), fd_add(value, drift), scale, fd_round)
+            if entry is not None:
+                break
             ws = value.scale + GUARD
             theta = Angle.for_scale(table_degrees(k), scale)
             value = _second_difference_sines(Angle(fd_divn(theta.radians, k, ws)), k, ws)[k]
-        entries.append((k, fd_round(value, scale)))
+        entries.append((k, entry))
     return SineTable(entries=tuple(entries), scale=scale)
 
 
 def _second_difference_sines(h: Angle, count: int, ws: int) -> list[FixedDec]:
     """s_0 .. s_count at ws by the second-difference rule
     s_{k+1} = 2 cos(h) s_k - s_{k-1}, with s_0 = 0; sin h and cos h come
-    from the series with the term count of |h| below 3.75 degrees."""
+    from the series with the sine's term count for |h| below 3.75
+    degrees.  cos h sums one term more: its remainder after N + 1 terms
+    is |h| / (2N + 2) times the sine's after N."""
     terms = sin_terms_for(ws + GUARD, _TABLE_STEP_MILLI)
-    two_cos_h = fd_mul(FixedDec.from_int(2), cos_series(h, terms, ws))
+    two_cos_h = fd_mul(FixedDec.from_int(2), cos_series(h, terms + 1, ws))
     sines = [FixedDec.from_int(0, ws), sin_series(h, terms, ws)]
     while len(sines) <= count:
         sines.append(fd_sub(fd_mul(two_cos_h, sines[-1]), sines[-2]))
     return sines
-
-
-def _near_tie(value: FixedDec, scale: int, k: int) -> bool:
-    """Whether s_k, at a working scale past scale, lies within
-    _drift_ulp(k) of a half-away rounding tie at scale."""
-    dropped = 10 ** (value.scale - scale)
-    return abs(value.mantissa.to_int() % dropped - dropped // 2) < _drift_ulp(k)
 
 
 def _drift_ulp(k: int) -> int:
@@ -247,7 +257,8 @@ def _drift_ulp(k: int) -> int:
     or theta_k / k truncated at a wider scale.
 
     sin h and cos h are each within 2 ulp (one for the final truncation;
-    the series' remainder and rounding lie far below it), so every step
+    the series' remainder, below 10**-GUARD ulp for both, and the
+    rounding of its GUARD extra digits lie below the other), so every step
     adds under 1 + 2 * 2 * |s_k| < 6 ulp: the truncated product and the
     error of cos h.  The recurrence carries an error made at step j into
     s_k times U_{k-1-j}(cos h) = sin((k-j) h) / sin h, at most k - j in

@@ -36,6 +36,7 @@ TRIG = "tests/test_trig_series.py"
 TRIG_ORACLE = "tests/test_trig_oracle.py"
 CLI = "tests/test_cli.py"
 GEOMETRY = "tests/test_geometry.py"
+GUARD = "tests/test_guard.py"
 
 
 class Mutant(NamedTuple):
@@ -60,6 +61,14 @@ MUTANTS = (
            "half = BigNat.from_int(4 * 10 ** (drop - 1))", (BIGFIXED,)),
     Mutant("decimal-prefix-match", "bigfixed.py",
            "_FD_PATTERN.fullmatch(s)", "_FD_PATTERN.match(s)", (BIGFIXED,)),
+    # the settle rule: its callers' tests must catch these, not only its own
+    Mutant("settled-one-ulp-apart", "bigfixed.py",
+           "return low if low == high else None",
+           "return low if abs(fd_sub(high, low)) <= FixedDec(1, 1, scale) else None",
+           (PI_SERIES, TRIG_ORACLE, GUARD)),
+    Mutant("settled-reads-lo", "bigfixed.py",
+           "low, high = rounding(lo, scale), rounding(hi, scale)",
+           "low, high = rounding(lo, scale), rounding(lo, scale)", (PI_SERIES, TRIG_ORACLE, GUARD)),
     # series kernels
     Mutant("pending-never-resets", "pi_series.py",
            "            scaled //= BigNat.from_int(pending)\n            pending = 1\n",
@@ -71,7 +80,7 @@ MUTANTS = (
            "return series.multiplier * (num * p) ** power < den**power",
            "return series.multiplier * (num * p) ** power <= den**power", (PI_SERIES,)),
     Mutant("pi-bracket-unchecked", "pi_series.py",
-           "if floors[0] == floors[1]:", "if True:", (PI_SERIES,)),
+           "pi = settled(*ends, scale)", "pi = ends[0]", (PI_SERIES,)),
     Mutant("correction-sign-flipped", "pi_series.py",
            "s = fd_add(partial, corr if n % 2 == 0 else -corr)",
            "s = fd_add(partial, -corr if n % 2 == 0 else corr)", (PI_SERIES,)),
@@ -79,7 +88,7 @@ MUTANTS = (
            "acc = fd_add(acc, -term if k % 2 else term)",
            "acc = fd_add(acc, term if k % 2 else -term)", (PI_SERIES,)),
     Mutant("evaluate-digits-no-guard", "pi_series.py",
-           "evaluate(SeriesSpec(series_id, terms, correction, digits + GUARD))",
+           "evaluate(SeriesSpec(series_id, terms, correction, digits + BOUND_DIGITS))",
            "evaluate(SeriesSpec(series_id, terms, correction, digits))", (PI_SERIES,)),
     Mutant("corrections-for-every-series", "pi_series.py",
            "return CORRECTIONS if series_id == LEIBNIZ else (NO_CORRECTION,)",
@@ -92,15 +101,18 @@ MUTANTS = (
            "k = shifted.sign * (shifted.mantissa.to_int() // two_pi.mantissa.to_int())",
            (TRIG,)),
     Mutant("for-scale-no-guard", "trig_series.py",
-           "return cls.from_degrees(degrees, scale + GUARD)",
+           "return cls.from_degrees(degrees, scale + ANGLE_DIGITS)",
            "return cls.from_degrees(degrees, scale)", (TRIG,)),
     Mutant("recurrence-factor-one", "trig_series.py",
-           "fd_mul(FixedDec.from_int(2), cos_series(h, terms, ws))",
-           "fd_mul(FixedDec.from_int(1), cos_series(h, terms, ws))", (TRIG,)),
+           "fd_mul(FixedDec.from_int(2), cos_series(h, terms + 1, ws))",
+           "fd_mul(FixedDec.from_int(1), cos_series(h, terms + 1, ws))", (TRIG,)),
+    Mutant("table-cos-sine-count", "trig_series.py",
+           "cos_series(h, terms + 1, ws)", "cos_series(h, terms, ws)", (GUARD,)),
     Mutant("drift-margin-linear", "trig_series.py",
            "return 3 * k * k", "return 3 * k", (TRIG_ORACLE,)),
     Mutant("tie-fallback-never", "trig_series.py",
-           "< _drift_ulp(k)", "< 0 * _drift_ulp(k)", (TRIG_ORACLE,)),
+           "FixedDec(1, _drift_ulp(k), value.scale)", "FixedDec(1, 0 * _drift_ulp(k), value.scale)",
+           (TRIG_ORACLE,)),
     Mutant("full-domain-half-pi", "trig_series.py",
            "sin_terms_for(digits, 3142)", "sin_terms_for(digits, 1571)", (TRIG_ORACLE, CLI)),
     Mutant("table-step-four-degrees", "trig_series.py",

@@ -27,6 +27,7 @@ from madhava.bigfixed import (
     nat_add,
     nat_divrem,
     nat_mul,
+    settled,
 )
 from conftest import as_fraction
 
@@ -334,6 +335,45 @@ class TestFixedDec:
         assert fd_from_string("0.50") == fd_from_string("0.5000")
         assert fd_from_string("0.5") < fd_from_string("0.51")
         assert fd_from_string("-0.5") < fd_from_string("0.1")
+
+
+def half_away(q: Fraction, scale: int) -> Fraction:
+    """q rounded half away from zero at the scale."""
+    m = math.floor(abs(q) * 10**scale + Fraction(1, 2))
+    return Fraction(m if q >= 0 else -m, 10**scale)
+
+
+class TestSettled:
+    def test_common_value_or_none(self):
+        def at(lo, hi, scale, rounding=fd_rescale):
+            got = settled(fd_from_string(lo), fd_from_string(hi), scale, rounding)
+            return None if got is None else fd_to_string(got)
+
+        assert at("3.14159", "3.14161", 3) == "3.141"
+        assert at("3.14161", "3.14159", 3) == "3.141"
+        assert at("3.14099", "3.14101", 3) is None
+        assert at("-0.0009", "0.0009", 3) == "0.000"
+        assert at("0.12345", "0.12354", 4, fd_round) == "0.1235"
+        assert at("0.12354", "0.12356", 4, fd_round) is None
+        assert at("0.12349", "0.12349", 4, fd_round) == "0.1235"
+        # ends one ulp apart at the scale never settle
+        assert at("2.000", "2.001", 3) is None
+        assert at("2.0005", "2.0015", 3, fd_round) is None
+
+    @pytest.mark.parametrize("rounding, oracle", [(fd_rescale, truncated), (fd_round, half_away)])
+    def test_matches_fraction(self, rounding, oracle):
+        rng = random.Random(2024)
+        for _ in range(400):
+            scale, wide = rng.randrange(0, 8), rng.randrange(0, 4)
+            lo = rng.randrange(-10**9, 10**9)
+            ends = [FixedDec(1 if m >= 0 else -1, BigNat.from_int(abs(m)), scale + wide)
+                    for m in (lo, lo + rng.randrange(0, 2 * 10**wide))]
+            want = {oracle(as_fraction(end), scale) for end in ends}
+            got = settled(*ends, scale, rounding)
+            if len(want) == 2:
+                assert got is None
+            else:
+                assert got.scale == scale and {as_fraction(got)} == want
 
 
 class TestLargeOperands:

@@ -10,8 +10,8 @@ import pytest
 
 import madhava.cli as cli
 from madhava.cli import TRIG_TERM_CAP, build_parser, build_verify_report, main
-from madhava.pi_series import GUARD, SCALE_CAP
-from madhava.trig_series import full_domain_terms, sin_terms_for
+from madhava.pi_series import SCALE_CAP
+from madhava.trig_series import ANGLE_DIGITS, full_domain_terms, sin_terms_for
 
 
 def run_cli(capsys, *argv):
@@ -334,11 +334,11 @@ class TestTrigTermCap:
         assert parser.parse_args([*base, "--terms", str(TRIG_TERM_CAP)]).terms == TRIG_TERM_CAP
 
     def test_cap_is_the_largest_admitted_need(self):
-        assert TRIG_TERM_CAP == sin_terms_for(SCALE_CAP + GUARD, 3142) == 488
+        assert TRIG_TERM_CAP == sin_terms_for(SCALE_CAP + ANGLE_DIGITS, 3142) == 488
 
     def test_cap_is_the_full_domain_count_at_the_largest_scale(self):
         # the default term count of trig eval never exceeds the cap
-        assert TRIG_TERM_CAP == full_domain_terms(SCALE_CAP + GUARD)
+        assert TRIG_TERM_CAP == full_domain_terms(SCALE_CAP + ANGLE_DIGITS)
 
 
 class TestBrokenPipe:

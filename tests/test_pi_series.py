@@ -18,11 +18,11 @@ from madhava.pi_series import (
     AUX_B,
     AUX_C,
     AUX_D,
+    BOUND_DIGITS,
     DEFAULT_TERM_CAP,
     F1,
     F2,
     F3,
-    GUARD,
     LEIBNIZ,
     NO_CORRECTION,
     SERIES,
@@ -555,12 +555,12 @@ class TestEvaluateDigits:
         *((series_id, NO_CORRECTION) for series_id in SERIES_IDS),
         *((LEIBNIZ, correction) for correction in (F1, F2, F3))])
     @pytest.mark.parametrize("digits", (1, 12, 40))
-    def test_is_evaluate_at_guard_digits_truncated(self, series_id, correction, digits):
+    def test_is_evaluate_at_bound_digits_truncated(self, series_id, correction, digits):
         def bits(x):
             return None if x is None else (x.sign, x.mantissa.to_int(), x.scale)
 
         for n in (1, 2, 17, 60):
-            want = evaluate(SeriesSpec(series_id, n, correction, digits + GUARD))
+            want = evaluate(SeriesSpec(series_id, n, correction, digits + BOUND_DIGITS))
             got = evaluate_digits(series_id, n, correction, digits)
             assert bits(got.value) == bits(fd_rescale(want.value, digits))
             assert bits(got.error_bound) == bits(want.error_bound)

@@ -4,9 +4,10 @@ The oracle (conftest.trig_floor and conftest.sin_round) shares no code
 with madhava.  The contract it checks: the printed value is f(theta_t)
 truncated toward zero at the scale, where theta_t is the angle the CLI
 builds.  For --radians that is the given value; for --degrees it is
-degrees * pi, with pi floored at scale + 2*GUARD, over 180, floored at
-scale + GUARD.  A sine-table entry is sin(theta_t) rounded half away
-from zero at the table scale, with theta_t built the same way.
+degrees * pi, with pi floored at scale + 2*ANGLE_DIGITS, over 180,
+floored at scale + ANGLE_DIGITS.  A sine-table entry is sin(theta_t)
+rounded half away from zero at the table scale, with theta_t built the
+same way.
 
 `trig addrule` prints sin or cos of theta_t(x) +- theta_t(y), the value
 its rule equals, and `trig shift` the three-term formula on the exact
@@ -32,7 +33,7 @@ from madhava import cli, trig_series
 from madhava.bigfixed import BigNat, FixedDec
 from madhava.cli import main
 from madhava.pi_series import GUARD
-from madhava.trig_series import SINE_TABLE_SIZE, Angle, build_sine_table
+from madhava.trig_series import ANGLE_DIGITS, SINE_TABLE_SIZE, Angle, build_sine_table
 from conftest import as_fraction, machin_pi_floor, sin_round, taylor_bracket, trig_floor
 
 DIGESTS = json.loads(
@@ -75,8 +76,8 @@ ITEM_8 = pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
 
 
 def cli_degrees_angle(degrees, scale: int) -> Fraction:
-    ws = scale + GUARD
-    pi = Fraction(machin_pi_floor(ws + GUARD), 10 ** (ws + GUARD))
+    ws = scale + ANGLE_DIGITS
+    pi = Fraction(machin_pi_floor(ws + ANGLE_DIGITS), 10 ** (ws + ANGLE_DIGITS))
     return Fraction(floor(Fraction(degrees) * pi / 180 * 10**ws), 10**ws)
 
 

@@ -21,6 +21,7 @@ from madhava.bigfixed import (
 )
 from madhava.pi_series import GUARD, pi_reference
 from madhava.trig_series import (
+    ANGLE_DIGITS,
     COS,
     COS_DIFF,
     COS_SUM,
@@ -329,10 +330,10 @@ class TestAngleAdd:
 
 
 class TestHalfPiBoundary:
-    # angles built as the CLI builds them: degrees at scale + GUARD
+    # angles built as the CLI builds them: degrees at scale + ANGLE_DIGITS
     @pytest.mark.parametrize("scale", range(61))
     def test_ninety_degrees_admitted(self, scale):
-        ws = scale + GUARD
+        ws = scale + ANGLE_DIGITS
         right, half, zero = deg("90", ws), deg("45", ws), deg("0", ws)
         h = fd_from_string("0")
         taylor_shift_sin(right, h, scale)
@@ -342,7 +343,7 @@ class TestHalfPiBoundary:
 
     @pytest.mark.parametrize("scale", range(61))
     def test_past_ninety_degrees_refused(self, scale):
-        past = deg("90.0001", scale + GUARD)
+        past = deg("90.0001", scale + ANGLE_DIGITS)
         for shift in (taylor_shift_sin, taylor_shift_cos):
             with pytest.raises(ValueError):
                 shift(past, fd_from_string("0"), scale)
@@ -352,7 +353,7 @@ class TestDomainSlack:
     # a limit truncated from pi admits two ulp past it and no more
     @pytest.mark.parametrize("scale", (0, 7, 30))
     def test_series_admit_two_ulp_past_pi(self, scale):
-        ws = scale + GUARD
+        ws = scale + ANGLE_DIGITS
         pi = pi_reference(ws).mantissa.to_int()
         for fn in (sin_series, cos_series, sin_sq_series):
             for sign in (1, -1):
@@ -362,7 +363,7 @@ class TestDomainSlack:
 
     @pytest.mark.parametrize("scale", (0, 7, 30))
     def test_shifts_and_rules_admit_two_ulp_past_half_pi(self, scale):
-        ws = scale + GUARD
+        ws = scale + ANGLE_DIGITS
         right = Angle.for_scale(FixedDec.from_int(90), scale).radians.mantissa.to_int()
         zero = Angle(FixedDec.from_int(0, ws))
         h = fd_from_string("0")
@@ -432,15 +433,15 @@ class TestAngleConstruction:
 
 
 class TestAngleForScale:
-    def test_is_from_degrees_at_the_guard_scale(self):
+    def test_is_from_degrees_at_the_angle_digits_scale(self):
         for text in ("0", "3.75", "-45.5", "90", "1000.125"):
             degrees = fd_from_string(text)
-            assert Angle.for_scale(degrees, 25) == Angle.from_degrees(degrees, 25 + GUARD)
+            assert Angle.for_scale(degrees, 25) == Angle.from_degrees(degrees, 25 + ANGLE_DIGITS)
 
     @pytest.mark.parametrize("scale", range(61))
     def test_right_angle_is_half_of_the_floored_pi(self, scale):
         # the pi/2 limit of the shift formulas and the addition rules
-        pi = pi_reference(scale + 2 * GUARD).mantissa.to_int()
+        pi = pi_reference(scale + 2 * ANGLE_DIGITS).mantissa.to_int()
         got = Angle.for_scale(FixedDec.from_int(90), scale).radians
         assert (got.sign, got.mantissa.to_int(), got.scale) == (
-            1, pi // (2 * 10**GUARD), scale + GUARD)
+            1, pi // (2 * 10**ANGLE_DIGITS), scale + ANGLE_DIGITS)
