@@ -54,10 +54,11 @@ class KaliInstant(_KaliInstant):
 
 
 class CalendarDate(NamedTuple):
+    """A Julian-calendar date."""
+
     year: int  # astronomical numbering
     month: int
     day: int
-    calendar: str = "JULIAN"
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"
@@ -103,8 +104,6 @@ def jd_to_date(jd: FixedDec) -> CalendarDate:
 
 def date_to_jd(date: CalendarDate) -> FixedDec:
     """Noon JD of a Julian-calendar date (inverse of jd_to_date)."""
-    if date.calendar != "JULIAN":
-        raise ValueError("only the Julian calendar is supported")
     return FixedDec.from_int(_julian_to_jdn(date.year, date.month, date.day), 1)
 
 

@@ -108,7 +108,7 @@ def _check_pi_fraction() -> VerifyCheck:
 
 
 def _check_circumference() -> VerifyCheck:
-    rep = circumference_check(DEFAULT_SCALE)
+    rep = circumference_check()
     ok = (rep.madhava.to_int() == 2_827_433_388_233
           and rep.computed.to_int() == 2_827_433_388_231
           and rep.delta == 2)

@@ -47,9 +47,6 @@ class QuadSides(NamedTuple):
     c: FixedDec
     d: FixedDec
 
-    def as_tuple(self) -> tuple[FixedDec, FixedDec, FixedDec, FixedDec]:
-        return (self.a, self.b, self.c, self.d)
-
 
 def circumradius(q: QuadSides, scale: int) -> FixedDec:
     """Circumradius floored at the given scale.
@@ -58,9 +55,9 @@ def circumradius(q: QuadSides, scale: int) -> FixedDec:
     (sum of three sides minus the fourth) is at most 10**-scale:
     dividing by a near-zero is meaningless at fixed scale.
     """
-    e = max(s.scale for s in q.as_tuple())  # sides in units of 10**-e
+    e = max(s.scale for s in q)  # sides in units of 10**-e
     a, b, c, d = sides = [s.sign * s.mantissa.to_int() * 10 ** (e - s.scale)
-                          for s in q.as_tuple()]
+                          for s in q]
     if any(s <= 0 for s in sides):
         raise ValueError("sides must all be positive")
     brackets = [a + b + c + d - 2 * s for s in sides]

@@ -204,7 +204,6 @@ class SeriesSpec(_SeriesSpec):
 
 class PiResult(NamedTuple):
     value: FixedDec
-    terms_used: int
     error_bound: FixedDec | None
 
 
@@ -414,17 +413,15 @@ class CircumferenceReport(NamedTuple):
     delta: int
 
 
-def circumference_check(scale: int = 20) -> CircumferenceReport:
+def circumference_check() -> CircumferenceReport:
     """Recompute the circumference of the diameter-9e11 circle and compare
     with the attributed 2,827,433,388,233.
 
-    The product of pi_reference(scale) and the diameter is within
-    9e11 * 10**-scale, well under one unit, of the true circumference; it
-    is then rounded to the nearest integer (half away from zero).
+    The product of pi_reference(20) and the diameter is within 9e11 *
+    10**-20, well under one unit, of the true circumference; it is then
+    rounded to the nearest integer (half away from zero).
     """
-    if scale < 20:
-        raise ValueError("circumference check needs scale >= 20")
-    product = fd_mul(pi_reference(scale), FixedDec.from_int(CIRCLE_DIAMETER))
+    product = fd_mul(pi_reference(20), FixedDec.from_int(CIRCLE_DIAMETER))
     computed = fd_round(product, 0).mantissa
     madhava = BigNat.from_int(MADHAVA_CIRCUMFERENCE)
     return CircumferenceReport(
@@ -438,12 +435,12 @@ def circumference_check(scale: int = 20) -> CircumferenceReport:
 # a-priori bounds, term selection and one-call evaluation
 # ---------------------------------------------------------------------------
 
-def terms_for_digits(series_id: str, digits: int, cap: int = DEFAULT_TERM_CAP) -> int:
+def terms_for_digits(series_id: str, digits: int) -> int:
     """Smallest n whose analytic bound, error_bound without the drift,
     drops below 10**-digits: an exact-integer test (squared for a root
     multiplier) under a doubling search and a bisection.  leibniz and
     aux-b shrink only like 1/n, so their n grows like 10**digits;
-    requests that need more than cap terms are refused."""
+    requests that need more than DEFAULT_TERM_CAP terms are refused."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     series = _series(series_id)
@@ -456,10 +453,10 @@ def terms_for_digits(series_id: str, digits: int, cap: int = DEFAULT_TERM_CAP) -
 
     lo, hi = 0, 1  # below(lo) fails (or lo is 0); hi is the candidate
     while not below(hi):
-        if hi >= cap:
+        if hi >= DEFAULT_TERM_CAP:
             raise TermCountError(
-                f"{series_id} needs more than {cap} terms for {digits} digits")
-        lo, hi = hi, min(2 * hi, cap)
+                f"{series_id} needs more than {DEFAULT_TERM_CAP} terms for {digits} digits")
+        lo, hi = hi, min(2 * hi, DEFAULT_TERM_CAP)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if below(mid):
@@ -499,7 +496,7 @@ def evaluate(spec: SeriesSpec) -> PiResult:
     else:
         value = aux_series(spec.series_id, spec.terms, spec.scale)
     bound = error_bound(spec.series_id, spec.terms, spec.scale, spec.correction)
-    return PiResult(value=value, terms_used=spec.terms, error_bound=bound)
+    return PiResult(value=value, error_bound=bound)
 
 
 def evaluate_digits(series_id: str, terms: int, correction: str, digits: int) -> PiResult:

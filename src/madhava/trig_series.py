@@ -106,7 +106,6 @@ class CoeffTable(NamedTuple):
 
     purpose: str
     coefficients: tuple[FixedDec, ...]
-    count: int
 
 
 @lru_cache(maxsize=None)
@@ -117,14 +116,14 @@ def coeff_table(purpose: str, terms: int, scale: int) -> CoeffTable:
         raise ValueError("terms must be >= 1")
     term = _COEFFICIENT_TERMS[purpose]
     coeffs = tuple(fd_from_ratio(*term(k), (-1) ** k, scale) for k in range(terms))
-    return CoeffTable(purpose=purpose, coefficients=coeffs, count=terms)
+    return CoeffTable(purpose=purpose, coefficients=coeffs)
 
 
 def nested_eval(table: CoeffTable, theta: Angle, scale: int) -> FixedDec:
     """Evaluate the table's polynomial at x = theta**2 by nesting:
     (((c_N x + c_{N-1}) x + ...) x + c_0), one multiply and one add per
     coefficient; then times theta for sin and theta**2 for sin^2."""
-    if table.count == 0:
+    if not table.coefficients:
         raise ValueError("empty coefficient table")
     th = fd_rescale(theta.radians, scale)
     x = fd_mul(th, th)

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from madhava import pi_series
 from madhava.bigfixed import (
     BigNat,
     FixedDec,
@@ -107,7 +108,7 @@ def test_criterion_1_pi_fraction():
 
 def test_criterion_2_circumference():
     t0 = time.perf_counter()
-    rep = circumference_check(20)
+    rep = circumference_check()
     assert rep.madhava.to_int() == 2_827_433_388_233
     assert rep.computed.to_int() == 2_827_433_388_231
     assert rep.delta == 2
@@ -158,11 +159,12 @@ def test_criterion_5_cross_series_agreement():
               "(aux-b and the literal pairwise form: see xfail legs)", t0, 5.0)
 
 
-def test_criterion_5_defects_pinned():
+def test_criterion_5_defects_pinned(monkeypatch):
     # aux-b at 8 digits needs exactly 1e8 terms; the default cap refuses
     with pytest.raises(TermCountError):
         terms_for_digits(AUX_B, 8)
-    assert terms_for_digits(AUX_B, 8, cap=10**9) == 100_000_000
+    monkeypatch.setattr(pi_series, "DEFAULT_TERM_CAP", 10**9)
+    assert terms_for_digits(AUX_B, 8) == 100_000_000
     # aux-a and aux-d straddle pi: their mutual gap exceeds 1e-8 by ~1.6e-11
     routes = _feasible_routes()
     gap = abs(as_fraction(routes["aux-a@tfd8"]) - as_fraction(routes["aux-d@tfd8"]))

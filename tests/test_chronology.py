@@ -8,7 +8,6 @@ from madhava.bigfixed import FixedDec, fd_from_string, fd_to_string
 from madhava.chronology import (
     ANOMALISTIC_MONTH_DAYS,
     KALI_EPOCH_JD,
-    CalendarDate,
     KaliInstant,
     date_to_jd,
     jd_to_date,
@@ -87,10 +86,6 @@ class TestRoundTrip:
             a = jd_to_date(FixedDec.from_int(jdn, 1))
             b = jd_to_date(FixedDec.from_int(jdn + rng.randrange(0, 400), 1))
             assert (a.year, a.month, a.day) <= (b.year, b.month, b.day)
-
-    def test_gregorian_rejected(self):
-        with pytest.raises(ValueError):
-            date_to_jd(CalendarDate(1402, 3, 10, calendar="GREGORIAN"))
 
 
 class TestEpochCheck:

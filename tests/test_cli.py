@@ -1,5 +1,6 @@
 """CLI surface: flags, formats, exit codes, deterministic output."""
 
+import argparse
 import csv
 import io
 import json
@@ -68,6 +69,9 @@ class TestPiCommand:
         for terms in ("0", "1000001", "1000000000"):
             assert main(["pi", "--series", "leibniz", "--terms", terms]) == 2
             assert capsys.readouterr().out == ""
+        # the cap itself is admitted; parsed only, as a million terms take minutes
+        args = build_parser().parse_args(["pi", "--series", "leibniz", "--terms", "1000000"])
+        assert args.terms == 1_000_000
 
 
 class TestVerifyCommand:
@@ -247,8 +251,35 @@ class TestQuadChrono:
         assert payload["jd"] == "2233206.069000"
 
 
+# every subcommand that takes --scale or --digits: its path, then the
+# rest of an argument vector that ends in that flag
+SCALED = {
+    ("pi",): ("--series", "sqrt12", "--terms", "1", "--digits"),
+    ("converge",): ("--series", "leibniz", "--n-max", "3", "--scale"),
+    ("trig", "eval"): ("--fn", "sin", "--degrees", "30", "--scale"),
+    ("trig", "table"): ("--scale",),
+    ("trig", "shift"): ("--fn", "sin", "--u-degrees", "30", "--h", "0.1", "--scale"),
+    ("trig", "addrule"): ("--rule", "sin-sum", "--x-degrees", "30", "--y-degrees", "15", "--scale"),
+    ("quad", "radius"): ("--sides", "3,4,3,4", "--scale"),
+}
+SCALED_ARGV = [(*path, *rest) for path, rest in SCALED.items()]
+
+
+def leaf_flags(parser, path=()):
+    """(subcommand path, option strings) of every leaf subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, {flag for a in parser._actions for flag in a.option_strings}
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from leaf_flags(child, (*path, name))
+
+
 class TestScaleCap:
     @pytest.mark.parametrize("argv", [
+        *((*argv, "2001") for argv in SCALED_ARGV),
+        ("trig", "eval", "--fn", "sin", "--degrees", "3" + "0" * 2000),
+        ("trig", "shift", "--fn", "sin", "--u-degrees", "30", "--h", "0." + "0" * 2000),
         ("converge", "--series", "leibniz", "--n-max", "3", "--scale", "-1"),
         ("pi", "--series", "sqrt12", "--terms", "10", "--digits", "-3"),
         ("pi", "--series", "leibniz", "--terms", "1000000", "--digits", "2001"),
@@ -266,20 +297,33 @@ class TestScaleCap:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_cap_admits_its_bounds(self):
-        parser = build_parser()
-        for value in ("0", str(SCALE_CAP)):
-            assert parser.parse_args(["trig", "table", "--scale", value]).scale == int(value)
-            args = parser.parse_args(["pi", "--series", "sqrt12", "--terms", "1", "--digits", value])
-            assert args.digits == int(value)
+    def test_every_scaled_subcommand_is_pinned(self):
+        assert set(SCALED) == {path for path, flags in leaf_flags(build_parser())
+                               if flags & {"--scale", "--digits"}}
 
-    def test_decimal_cap_admits_its_bound(self, capsys):
-        side = "1." + "0" * (SCALE_CAP - 1)
-        assert main(["quad", "radius", "--sides", f"{side},1,1,1", "--scale", "10"]) == 0
-        assert capsys.readouterr().out == "0.7071067811\n"
-        radians = "0." + "0" * (SCALE_CAP - 1)
-        assert main(["trig", "eval", "--fn", "sin", "--radians", radians, "--scale", "5"]) == 0
-        assert capsys.readouterr().out == "0.00000\n"
+    @pytest.mark.parametrize("argv", SCALED_ARGV)
+    def test_cap_admits_its_bounds(self, argv):
+        # parsed only: the largest admitted scale is not run here
+        parser = build_parser()
+        for value in ("0", "2000"):
+            args = parser.parse_args([*argv, value])
+            assert getattr(args, argv[-1][2:]) == int(value) <= SCALE_CAP
+
+    @pytest.mark.parametrize("argv, out", [
+        (("quad", "radius", "--sides", "1." + "0" * 1999 + ",1,1,1", "--scale", "10"),
+         "0.7071067811"),
+        (("trig", "eval", "--fn", "sin", "--radians", "0." + "0" * 1999, "--scale", "5"),
+         "0.00000"),
+        (("trig", "eval", "--fn", "sin", "--degrees", "30." + "0" * 1998, "--scale", "10"),
+         "0.4999999999"),
+        (("trig", "shift", "--fn", "sin", "--u-degrees", "30", "--h", "0.1" + "0" * 1998,
+          "--scale", "10"), "0.5841025403"),
+    ])
+    def test_decimal_cap_admits_its_bound(self, argv, out, capsys):
+        # the longest decimal has exactly 2000 digits
+        assert max(sum(ch.isdigit() for ch in d) for d in argv[-3].split(",")) == SCALE_CAP
+        assert main(list(argv)) == 0
+        assert capsys.readouterr().out == out + "\n"
 
 
 class TestAsciiNumerals:

@@ -72,7 +72,7 @@ class TestCircumradius:
         r2 = as_fraction(circumradius(doubled, 16))
         assert abs(r2 - 2 * r) <= Fraction(10, 10**16)
         third = QuadSides(*[fd_mul(s, fd("0.333333333333333333"))
-                            for s in base.as_tuple()])
+                            for s in base])
         r3 = as_fraction(circumradius(third, 16))
         assert abs(r3 - r / 3) <= Fraction(10, 10**12)
 
@@ -97,11 +97,11 @@ class TestOracle:
                   fd("3.1415926535897932384"), fd("4.7123889803846898576")]
         q = circumradius_oracle(angles, fd("1"), 18)
         root_two = Fraction(14142135623730950488, 10**19)
-        for side in q.as_tuple():
+        for side in q:
             assert abs(as_fraction(side) - root_two) <= Fraction(1, 10**17)
         # scaling linearity
         q2 = circumradius_oracle(angles, fd("2"), 18)
-        for s1, s2 in zip(q.as_tuple(), q2.as_tuple()):
+        for s1, s2 in zip(q, q2):
             assert abs(as_fraction(s2) - 2 * as_fraction(s1)) <= Fraction(1, 10**17)
 
     def test_round_trip_recovers_radius(self):

@@ -351,14 +351,14 @@ class TestMadhavaFraction:
 
 class TestCircumference:
     def test_report(self):
-        rep = circumference_check(20)
+        rep = circumference_check()
         assert rep.madhava.to_int() == 2_827_433_388_233
         assert rep.computed.to_int() == 2_827_433_388_231
         assert rep.delta == 2
 
-    def test_scale_precondition(self):
-        with pytest.raises(ValueError):
-            circumference_check(10)
+    def test_takes_no_scale(self):
+        with pytest.raises(TypeError):
+            circumference_check(20)
 
 
 class TestTermSelection:
@@ -370,7 +370,7 @@ class TestTermSelection:
         assert n == 19  # exact bound evaluation; comfortably <= 22
         assert n <= 22
 
-    def test_frozen_eight_digit_counts(self):
+    def test_frozen_eight_digit_counts(self, monkeypatch):
         assert terms_for_digits(AUX_A, 8) == 367
         assert terms_for_digits(AUX_C, 8) == 35
         assert terms_for_digits(AUX_D, 8) == 10000
@@ -384,8 +384,9 @@ class TestTermSelection:
             AUX_D: [3, 10, 31, 100, 316, 1000, 3162, 10000, 31622, 100000, 316227, 1000000],
             SQRT12: [2, 4, 6, 8, 9, 11, 13, 15, 17, 19, 21, 23],
         }
+        monkeypatch.setattr(pi_series, "DEFAULT_TERM_CAP", 10**13)
         for series, counts in frozen.items():
-            got = [terms_for_digits(series, d, cap=10**13) for d in range(1, 13)]
+            got = [terms_for_digits(series, d) for d in range(1, 13)]
             assert got == counts, series
 
     def test_minimality(self):
@@ -408,13 +409,14 @@ class TestTermSelection:
                                                        tail=lambda n: (1, 10 * n)))
         assert terms_for_digits("tenth", digits) == 10 ** (digits - 1) + 1
 
-    def test_slow_series_refused(self):
+    def test_slow_series_refused(self, monkeypatch):
         with pytest.raises(TermCountError):
             terms_for_digits(LEIBNIZ, 12)
         with pytest.raises(TermCountError):
             terms_for_digits(AUX_B, 8)
         # a raised cap turns the refusal into a (huge) answer
-        assert terms_for_digits(AUX_B, 8, cap=10**9) == 100_000_000
+        monkeypatch.setattr(pi_series, "DEFAULT_TERM_CAP", 10**9)
+        assert terms_for_digits(AUX_B, 8) == 100_000_000
 
     def test_bad_requests_refused(self):
         with pytest.raises(ValueError):
@@ -470,7 +472,6 @@ class TestInvariants:
     def test_corrected_has_no_bound(self):
         res = evaluate(SeriesSpec(LEIBNIZ, 10, F3, 20))
         assert res.error_bound is None
-        assert res.terms_used == 10
 
     def test_determinism(self):
         spec = SeriesSpec(SQRT12, 22, scale=25)
@@ -564,4 +565,3 @@ class TestEvaluateDigits:
             got = evaluate_digits(series_id, n, correction, digits)
             assert bits(got.value) == bits(fd_rescale(want.value, digits))
             assert bits(got.error_bound) == bits(want.error_bound)
-            assert got.terms_used == n

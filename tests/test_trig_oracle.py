@@ -22,6 +22,7 @@ and its truncation can end in ...999.  The strict xfails below (reason
 """
 
 import json
+import random
 from fractions import Fraction
 from functools import cache
 from math import floor
@@ -76,9 +77,10 @@ ITEM_8 = pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
 
 
 def cli_degrees_angle(degrees, scale: int) -> Fraction:
+    # int() truncates toward zero, as FixedDec does, so -d gives -theta_t(d)
     ws = scale + ANGLE_DIGITS
     pi = Fraction(machin_pi_floor(ws + ANGLE_DIGITS), 10 ** (ws + ANGLE_DIGITS))
-    return Fraction(floor(Fraction(degrees) * pi / 180 * 10**ws), 10**ws)
+    return Fraction(int(Fraction(degrees) * pi / 180 * 10**ws), 10**ws)
 
 
 def fixed(q: int, scale: int) -> str:
@@ -100,12 +102,53 @@ def printed(capsys, argv) -> str:
     return capsys.readouterr().out.rstrip("\n")
 
 
+# Seeded draws over the admitted domain, fixed at import, so every strict
+# xfail below names one case: negative and obtuse degrees, radians in
+# [-pi, pi] up to scale 2000, ten more table scales in 10..300 and one
+# addrule/shift scale in 600..1000.
+_DRAW = random.Random(1402)
+
+
+def _decimal(low: int, high: int, places: int) -> str:
+    """A uniform draw from [low, high) * 10**-places, as the CLI reads it."""
+    return fixed(_DRAW.randrange(low, high), places)
+
+
+SAMPLED_DEGREE_KEYS = [
+    degree_key(fn, _decimal(*span, 2), _DRAW.randrange(10, 61))
+    for fn in ("sin", "cos", "sinsq") for span in ((-18000, 0), (9001, 18000)) for _ in range(2)]
+SAMPLED_RADIANS = [
+    (_decimal(-3141592, 3141593, 6), fn, scale)
+    for scale in (10, 40, 200) for fn in ("sin", "cos", "sinsq")]
+SAMPLED_RADIANS += [(_decimal(-3141592, 3141593, 6), _DRAW.choice(("sin", "cos", "sinsq")),
+                     _DRAW.randrange(1000, 2001)) for _ in range(2)]
+SAMPLED_DEGREE_XFAILS = {
+    degree_key(*case) for case in (
+        ("sin", "-172.60", 42), ("sin", "-166.25", 32), ("sin", "171.66", 26),
+        ("cos", "-99.02", 47), ("cos", "-164.37", 17), ("cos", "121.39", 47),
+        ("sinsq", "-110.61", 44), ("sinsq", "172.87", 50), ("sinsq", "116.24", 39))}
+SAMPLED_RADIANS_XFAILS = {
+    ("2.323763", "sinsq", 10), ("2.141462", "cos", 40), ("-1.803744", "sinsq", 40),
+    ("1.756638", "sin", 200), ("-2.451991", "sinsq", 200), ("-3.131504", "cos", 1384),
+    ("1.851875", "sin", 1385)}
+TABLE_SCALES += tuple(_DRAW.sample(sorted(set(range(10, 301)) - set(TABLE_SCALES)), 10))
+SAMPLED_RULE_SCALE = _DRAW.randrange(600, 1001)
+
+
 def test_every_degree_key_is_checked():
     assert (len(DEGREE_KEYS), len(EXACT_KEYS), len(TRIG_KEYS)) == (91, 54, 147)
     assert EXACT_XFAILS < set(EXACT_KEYS)
 
 
-@pytest.mark.parametrize("key", DEGREE_KEYS)
+def test_every_sampled_xfail_is_drawn():
+    assert SAMPLED_DEGREE_XFAILS < set(SAMPLED_DEGREE_KEYS)
+    assert SAMPLED_RADIANS_XFAILS < set(SAMPLED_RADIANS)
+    assert SAMPLED_RULE_SCALE == 838
+
+
+@pytest.mark.parametrize("key", DEGREE_KEYS + [
+    pytest.param(key, marks=ITEM_8) if key in SAMPLED_DEGREE_XFAILS else key
+    for key in SAMPLED_DEGREE_KEYS])
 def test_degrees_print_the_truncation_at_the_cli_angle(key, capsys):
     argv = key.split()
     fn, degrees, scale = argv[3], argv[5], int(argv[7])
@@ -134,9 +177,10 @@ def test_cos_sixty_degrees(scale, capsys):
 
 
 @pytest.mark.parametrize("theta, fn, scale", [
-    pytest.param(*case, marks=ITEM_8) if case in RADIANS_XFAILS else case
-    for case in ((theta, fn, scale) for theta in RADIANS
-                 for fn in ("sin", "cos", "sinsq") for scale in RADIANS_SCALES)])
+    pytest.param(*case, marks=ITEM_8) if case in RADIANS_XFAILS | SAMPLED_RADIANS_XFAILS else case
+    for case in (*((theta, fn, scale) for theta in RADIANS
+                   for fn in ("sin", "cos", "sinsq") for scale in RADIANS_SCALES),
+                 *SAMPLED_RADIANS)])
 def test_radians_print_the_truncation(theta, fn, scale, capsys):
     argv = ["trig", "eval", "--fn", fn, "--radians", theta, "--scale", str(scale)]
     assert printed(capsys, argv) == truncation(fn, Fraction(theta), scale)
@@ -215,8 +259,10 @@ def test_tie_fallback_gives_the_same_table(scale, monkeypatch):
 ADDRULE_CASES = (("sin-sum", "50", "35"), ("sin-diff", "80", "13"),
                  ("cos-sum", "41", "37"), ("cos-diff", "89", "1"))
 SHIFT_CASES = (("sin", "35", "0.11"), ("cos", "89", "-0.2"))
-RULE_SCALES = (20, 60, 200, 400)
-RULE_XFAILS = {("cos-diff", 200), ("cos-diff", 400), ("sin-diff", 400), ("cos", 200), ("cos", 400)}
+RULE_SCALES = (20, 60, 200, 400, SAMPLED_RULE_SCALE)
+RULE_XFAILS = {("cos-diff", 200), ("cos-diff", 400), ("sin-diff", 400), ("cos", 200), ("cos", 400),
+               ("cos-diff", SAMPLED_RULE_SCALE), ("sin-diff", SAMPLED_RULE_SCALE),
+               ("cos", SAMPLED_RULE_SCALE)}
 
 
 def rule_params(cases):

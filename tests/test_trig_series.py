@@ -64,7 +64,7 @@ class TestCoeffTable:
     def test_signs_and_decrease(self):
         for purpose in (SIN, COS):
             table = coeff_table(purpose, 10, 30)
-            assert table.count == 10
+            assert len(table.coefficients) == 10
             for k, c in enumerate(table.coefficients):
                 assert c.sign == (1 if k % 2 == 0 else -1)
             mags = [abs(c) for c in table.coefficients]
@@ -80,7 +80,7 @@ class TestCoeffTable:
         with pytest.raises(ValueError):
             coeff_table(SIN, 0, 10)
         with pytest.raises(ValueError):
-            nested_eval(CoeffTable(SIN, (), 0), Angle(fd_from_string("0.5")), 10)
+            nested_eval(CoeffTable(SIN, ()), Angle(fd_from_string("0.5")), 10)
 
     def test_single_coefficient(self):
         # constant polynomial: cos table of one term is exactly 1
