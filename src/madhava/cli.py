@@ -56,7 +56,6 @@ from .pi_series import (
 from .trig_series import (
     ADDITION_RULES,
     TRIG_TERM_CAP,
-    Angle,
     angle_add,
     build_sine_table,
     cos_series,
@@ -64,8 +63,8 @@ from .trig_series import (
     sin_series,
     sin_sq_series,
     table_degrees,
-    taylor_shift_cos,
-    taylor_shift_sin,
+    taylor_shift,
+    theta_t,
 )
 
 DEFAULT_SCALE = 20
@@ -133,12 +132,11 @@ def _check_epoch() -> VerifyCheck:
 
 
 def _check_sine_table() -> VerifyCheck:
-    table = build_sine_table(DEFAULT_TABLE_SCALE)
     tol = FixedDec(1, 1, 8)  # 1e-8
     deviations = []
-    for k, value in table.entries:
+    for k, value in build_sine_table(DEFAULT_TABLE_SCALE):
         # plain term-by-term sum: shares no code with the nested evaluator
-        radians = Angle.for_scale(table_degrees(k), 20).radians
+        radians = theta_t(table_degrees(k), 20)
         independent = odd_power_series(radians, 15, 20, lambda j: factorial(2 * j + 1))
         deviations.append(abs(fd_sub(fd_rescale(value, 20), independent)))
     worst = max(deviations)
@@ -260,32 +258,29 @@ def cmd_converge(args, parser) -> int:
 
 
 def cmd_trig_eval(args, parser) -> int:
-    angle = (Angle(args.radians) if args.degrees is None
-             else Angle.for_scale(args.degrees, args.scale))
-    terms = args.terms if args.terms else full_domain_terms(args.scale)
+    angle = args.radians if args.degrees is None else theta_t(args.degrees, args.scale)
+    terms = args.terms if args.terms else full_domain_terms(args.scale, args.fn)
     fn = {"sin": sin_series, "cos": cos_series, "sinsq": sin_sq_series}[args.fn]
     print(fd_to_string(fn(angle, terms, args.scale)))
     return 0
 
 
 def cmd_trig_table(args, parser) -> int:
-    table = build_sine_table(args.scale)
     print("k,degrees,sin")
-    for k, value in table.entries:
+    for k, value in build_sine_table(args.scale):
         print(f"{k},{fd_to_string(table_degrees(k))},{fd_to_string(value)}")
     return 0
 
 
 def cmd_trig_shift(args, parser) -> int:
-    u = Angle.for_scale(args.u_degrees, args.scale)
-    fn = taylor_shift_sin if args.fn == "sin" else taylor_shift_cos
-    print(fd_to_string(fn(u, args.h, args.scale)))
+    u = theta_t(args.u_degrees, args.scale)
+    print(fd_to_string(taylor_shift(u, args.h, args.fn, args.scale)))
     return 0
 
 
 def cmd_trig_addrule(args, parser) -> int:
-    x = Angle.for_scale(args.x_degrees, args.scale)
-    y = Angle.for_scale(args.y_degrees, args.scale)
+    x = theta_t(args.x_degrees, args.scale)
+    y = theta_t(args.y_degrees, args.scale)
     print(fd_to_string(angle_add(x, y, args.rule, args.scale)))
     return 0
 

@@ -32,7 +32,7 @@ from .bigfixed import (
     fd_sub,
 )
 from .pi_series import GUARD, pi_reference
-from .trig_series import Angle, full_domain_terms, sin_series
+from .trig_series import full_domain_terms, sin_series
 
 
 class NotCyclicError(ValueError):
@@ -89,6 +89,6 @@ def circumradius_oracle(angles: Sequence[FixedDec], radius: FixedDec, scale: int
     gaps.append(fd_sub(two_pi, fd_sub(pts[3], pts[0])))
     terms = full_domain_terms(ws)
     two_r = fd_mul(fd_rescale(radius, ws), FixedDec.from_int(2))
-    sides = [fd_rescale(fd_mul(two_r, sin_series(Angle(fd_divn(g, 2)), terms, ws)), scale)
+    sides = [fd_rescale(fd_mul(two_r, sin_series(fd_divn(g, 2), terms, ws)), scale)
              for g in gaps]
     return QuadSides(*sides)

@@ -8,14 +8,17 @@ add per coefficient (then times theta for sin, theta**2 for sin^2).  A
 table is built from exact integer ratios and truncated once, so repeated
 calls share identical coefficients.
 
-Angles are FixedDec radians.  Angle.for_scale(degrees, scale) is
-theta_t, the angle a degree argument names for a result at scale:
-degrees * pi / 180 floored at scale + ANGLE_DIGITS, with pi floored at
+Every angle is FixedDec radians.  theta_t(degrees, scale) is the angle a
+degree argument names for a result at scale: degrees * pi / 180
+floored at scale + ANGLE_DIGITS, with pi floored at
 scale + 2*ANGLE_DIGITS.  The pi/2 limit of the shift formulas and
 addition rules is theta_t of 90 degrees, and the series' pi limit is pi
 floored at scale + ANGLE_DIGITS.  ANGLE_DIGITS is part of what the CLI
 prints.  The series contracts hold for |theta| <= pi; use reduce_angle
-first for anything wider.
+first for anything wider.  full_domain_terms(digits, fn) is the term
+count for that domain; the cosine sums one term more than the sine,
+and so does every sine-cosine pair of one angle, which _sin_cos gives
+the sine table, the shift formulas and the addition rules.
 
 The sine table runs the second-difference rule s_{k+1} = 2 cos(h) s_k -
 s_{k-1} over h = 3.75 degrees from one sin h and one cos h.  Where
@@ -72,23 +75,13 @@ _RIGHT_ANGLE = FixedDec.from_int(90)
 ANGLE_DIGITS = 10
 
 
-class Angle(NamedTuple):
-    """An angle in radians (FixedDec)."""
-
-    radians: FixedDec
-
-    @classmethod
-    def from_degrees(cls, degrees: FixedDec, scale: int) -> "Angle":
-        """degrees * pi / 180, truncated at the given scale, with pi
-        floored ANGLE_DIGITS further."""
-        pi = pi_reference(scale + ANGLE_DIGITS)
-        prod = fd_mul(fd_rescale(degrees, scale + ANGLE_DIGITS), pi)
-        return cls(fd_divn(prod, 180, scale))
-
-    @classmethod
-    def for_scale(cls, degrees: FixedDec, scale: int) -> "Angle":
-        """theta_t, a degree argument's angle for a result at scale."""
-        return cls.from_degrees(degrees, scale + ANGLE_DIGITS)
+def theta_t(degrees: FixedDec, scale: int) -> FixedDec:
+    """A degree argument's angle for a result at scale: degrees * pi /
+    180 floored at scale + ANGLE_DIGITS, with pi floored ANGLE_DIGITS
+    further."""
+    ws = scale + ANGLE_DIGITS
+    prod = fd_mul(fd_rescale(degrees, ws + ANGLE_DIGITS), pi_reference(ws + ANGLE_DIGITS))
+    return fd_divn(prod, 180, ws)
 
 
 # Coefficient k in x = theta**2 is (-1)**k * num / den, (num, den) = term(k).
@@ -119,13 +112,13 @@ def coeff_table(purpose: str, terms: int, scale: int) -> CoeffTable:
     return CoeffTable(purpose=purpose, coefficients=coeffs)
 
 
-def nested_eval(table: CoeffTable, theta: Angle, scale: int) -> FixedDec:
+def nested_eval(table: CoeffTable, theta: FixedDec, scale: int) -> FixedDec:
     """Evaluate the table's polynomial at x = theta**2 by nesting:
     (((c_N x + c_{N-1}) x + ...) x + c_0), one multiply and one add per
     coefficient; then times theta for sin and theta**2 for sin^2."""
     if not table.coefficients:
         raise ValueError("empty coefficient table")
-    th = fd_rescale(theta.radians, scale)
+    th = fd_rescale(theta, scale)
     x = fd_mul(th, th)
     acc = fd_rescale(table.coefficients[-1], scale)
     for c in reversed(table.coefficients[:-1]):
@@ -137,33 +130,33 @@ def nested_eval(table: CoeffTable, theta: Angle, scale: int) -> FixedDec:
     return acc
 
 
-def _check_domain(theta: Angle, limit: FixedDec, what: str) -> None:
+def _check_domain(theta: FixedDec, limit: FixedDec, what: str) -> None:
     # two ulp of slack so boundary angles built from truncated pi pass
     slack = FixedDec(1, 2, limit.scale)
-    if abs(fd_rescale(theta.radians, limit.scale)) > fd_add(limit, slack):
+    if abs(fd_rescale(theta, limit.scale)) > fd_add(limit, slack):
         raise ValueError(f"angle out of range: |theta| must be <= {what}")
 
 
-def _power_series(purpose: str, theta: Angle, terms: int, scale: int) -> FixedDec:
+def _power_series(purpose: str, theta: FixedDec, terms: int, scale: int) -> FixedDec:
     _check_domain(theta, pi_reference(scale + ANGLE_DIGITS), "pi")
     ws = scale + GUARD
     table = coeff_table(purpose, terms, ws)
     return fd_rescale(nested_eval(table, theta, ws), scale)
 
 
-def sin_series(theta: Angle, terms: int, scale: int) -> FixedDec:
+def sin_series(theta: FixedDec, terms: int, scale: int) -> FixedDec:
     """Partial sum theta - theta^3/3! + theta^5/5! - ... via nested
     evaluation.  Requires |theta| <= pi (reduce first)."""
     return _power_series(SIN, theta, terms, scale)
 
 
-def cos_series(theta: Angle, terms: int, scale: int) -> FixedDec:
+def cos_series(theta: FixedDec, terms: int, scale: int) -> FixedDec:
     """Partial sum 1 - theta^2/2! + theta^4/4! - ... via nested
     evaluation.  Requires |theta| <= pi."""
     return _power_series(COS, theta, terms, scale)
 
 
-def sin_sq_series(theta: Angle, terms: int, scale: int) -> FixedDec:
+def sin_sq_series(theta: FixedDec, terms: int, scale: int) -> FixedDec:
     """Direct series for sin**2: theta^2 - theta^4/D_2 + theta^6/D_3 - ...
     with D_k the running product of (j^2 - j/2) for j = 2..k; each 1/D_k
     is the exact rational 2**(2k-1) / (2k)!, truncated once."""
@@ -188,9 +181,11 @@ def sin_terms_for(digits: int, theta_bound_milli: int = 1571) -> int:
     return n
 
 
-def full_domain_terms(digits: int) -> int:
-    """sin_terms_for on the series' whole domain |theta| <= pi."""
-    return sin_terms_for(digits, 3142)
+def full_domain_terms(digits: int, fn: str = SIN) -> int:
+    """Terms for fn (sin, cos or sinsq) on the series' whole domain
+    |theta| <= pi: sin_terms_for there, and one term more for cos, as in
+    _sin_cos.  sin^2 keeps the sine's count until ROADMAP item 8."""
+    return sin_terms_for(digits, 3142) + (fn == COS)
 
 
 TRIG_TERM_CAP = 488  # full_domain_terms(SCALE_CAP + ANGLE_DIGITS), stored for a cheap import
@@ -201,15 +196,9 @@ def table_degrees(k: int) -> FixedDec:
     return fd_from_ratio(15 * k, 4, 1, 2)
 
 
-class SineTable(NamedTuple):
-    """24 pairs (k, sin(k * 3.75 degrees)) at a fixed decimal scale."""
-
-    entries: tuple[tuple[int, FixedDec], ...]
-    scale: int
-
-
-def build_sine_table(scale: int) -> SineTable:
-    """Sine values on the traditional 3.75-degree grid up to 90 degrees.
+def build_sine_table(scale: int) -> tuple[tuple[int, FixedDec], ...]:
+    """The 24 pairs (k, sin(k * 3.75 degrees)) of the traditional grid up
+    to 90 degrees.
 
     Entry k is the second-difference sine s_k rounded half-away at the
     table scale, so the exact grid points (30 and 90 degrees) land on 0.5
@@ -220,7 +209,7 @@ def build_sine_table(scale: int) -> SineTable:
     """
     if scale < 10:
         raise ValueError("sine table needs scale >= 10")
-    h = Angle.for_scale(table_degrees(1), scale)
+    h = theta_t(table_degrees(1), scale)
     entries = []
     for k, value in enumerate(_second_difference_sines(h, SINE_TABLE_SIZE, scale + GUARD)[1:], 1):
         while True:
@@ -229,21 +218,20 @@ def build_sine_table(scale: int) -> SineTable:
             if entry is not None:
                 break
             ws = value.scale + GUARD
-            theta = Angle.for_scale(table_degrees(k), scale)
-            value = _second_difference_sines(Angle(fd_divn(theta.radians, k, ws)), k, ws)[k]
+            theta = theta_t(table_degrees(k), scale)
+            value = _second_difference_sines(fd_divn(theta, k, ws), k, ws)[k]
         entries.append((k, entry))
-    return SineTable(entries=tuple(entries), scale=scale)
+    return tuple(entries)
 
 
-def _second_difference_sines(h: Angle, count: int, ws: int) -> list[FixedDec]:
+def _second_difference_sines(h: FixedDec, count: int, ws: int) -> list[FixedDec]:
     """s_0 .. s_count at ws by the second-difference rule
     s_{k+1} = 2 cos(h) s_k - s_{k-1}, with s_0 = 0; sin h and cos h come
-    from the series with the sine's term count for |h| below 3.75
-    degrees.  cos h sums one term more: its remainder after N + 1 terms
-    is |h| / (2N + 2) times the sine's after N."""
-    terms = sin_terms_for(ws + GUARD, _TABLE_STEP_MILLI)
-    two_cos_h = fd_mul(FixedDec.from_int(2), cos_series(h, terms + 1, ws))
-    sines = [FixedDec.from_int(0, ws), sin_series(h, terms, ws)]
+    from _sin_cos with the sine's term count for |h| below 3.75
+    degrees."""
+    sin_h, cos_h = _sin_cos(h, ws, sin_terms_for(ws + GUARD, _TABLE_STEP_MILLI))
+    two_cos_h = fd_mul(FixedDec.from_int(2), cos_h)
+    sines = [FixedDec.from_int(0, ws), sin_h]
     while len(sines) <= count:
         sines.append(fd_sub(fd_mul(two_cos_h, sines[-1]), sines[-2]))
     return sines
@@ -267,41 +255,38 @@ def _drift_ulp(k: int) -> int:
     return 3 * k * k
 
 
-def _sin_cos(u: Angle, ws: int) -> tuple[FixedDec, FixedDec]:
-    terms = sin_terms_for(ws)
-    return sin_series(u, terms, ws), cos_series(u, terms, ws)
+def _sin_cos(u: FixedDec, ws: int, terms: int) -> tuple[FixedDec, FixedDec]:
+    """sin u from terms terms and cos u from terms + 1, at ws.  The
+    cosine's remainder after N terms is (2N + 1)/|u| times the sine's;
+    after N + 1 it is |u|/(2N + 2) times it."""
+    return sin_series(u, terms, ws), cos_series(u, terms + 1, ws)
 
 
-def taylor_shift_sin(u: Angle, h: FixedDec, scale: int) -> FixedDec:
-    """The three-term shift sin(u) + h*cos(u) - h^2/2 * sin(u).
+def taylor_shift(u: FixedDec, h: FixedDec, fn: str, scale: int) -> FixedDec:
+    """The three-term shift, the second-order approximation to fn(u + h):
 
-    This is the second-order approximation itself, not the true
-    sin(u + h); the cubic remainder is about |h|**3/6.
+    * sin  sin(u) + h*cos(u) - h^2/2 * sin(u)
+    * cos  cos(u) - h*sin(u) - h^2/2 * cos(u)
+
+    This is not the true fn(u + h); the cubic remainder is about
+    |h|**3/6.  Requires |u| <= pi/2 and |h| <= 0.5.
     """
-    return _taylor_shift(u, h, scale, SIN)
-
-
-def taylor_shift_cos(u: Angle, h: FixedDec, scale: int) -> FixedDec:
-    """The three-term shift cos(u) - h*sin(u) - h^2/2 * cos(u); the
-    second-order approximation to cos(u + h)."""
-    return _taylor_shift(u, h, scale, COS)
-
-
-def _taylor_shift(u: Angle, h: FixedDec, scale: int, which: str) -> FixedDec:
+    if fn not in (SIN, COS):
+        raise ValueError(f"shift function must be sin or cos, got {fn!r}")
     ws = scale + GUARD
-    _check_domain(u, Angle.for_scale(_RIGHT_ANGLE, scale).radians, "pi/2")
-    if abs(fd_rescale(h, ws)) > fd_from_ratio(1, 2, 1, ws):
+    _check_domain(u, theta_t(_RIGHT_ANGLE, scale), "pi/2")
+    if abs(h) > FixedDec(1, 5, 1):  # 0.5, compared with h as given
         raise ValueError("shift step must satisfy |h| <= 0.5")
-    s, c = _sin_cos(u, ws)
+    s, c = _sin_cos(u, ws, sin_terms_for(ws))
     hw = fd_rescale(h, ws)
     h2_half = fd_divn(fd_mul(hw, hw), 2)
     # a + h*b - h^2/2 * a, with (a, b) = (sin u, cos u) or (cos u, -sin u)
-    a, b = (s, c) if which == SIN else (c, -s)
+    a, b = (s, c) if fn == SIN else (c, -s)
     out = fd_sub(fd_add(a, fd_mul(hw, b)), fd_mul(h2_half, a))
     return fd_rescale(out, scale)
 
 
-def angle_add(x: Angle, y: Angle, which: str, scale: int) -> FixedDec:
+def angle_add(x: FixedDec, y: FixedDec, which: str, scale: int) -> FixedDec:
     """Right-hand side of the mutual-sine rules:
 
     * sin-sum   sin x cos y + cos x sin y
@@ -314,14 +299,15 @@ def angle_add(x: Angle, y: Angle, which: str, scale: int) -> FixedDec:
     if which not in ADDITION_RULES:
         raise ValueError(f"unknown addition rule {which!r}")
     ws = scale + GUARD
-    half_pi = Angle.for_scale(_RIGHT_ANGLE, scale).radians
+    half_pi = theta_t(_RIGHT_ANGLE, scale)
     _check_domain(x, half_pi, "pi/2")
     _check_domain(y, half_pi, "pi/2")
-    xw, yw = fd_rescale(x.radians, ws), fd_rescale(y.radians, ws)
+    xw, yw = fd_rescale(x, ws), fd_rescale(y, ws)
     combined = fd_add(xw, yw) if which.endswith("sum") else fd_sub(xw, yw)
-    _check_domain(Angle(combined), half_pi, "pi/2")
-    sx, cx = _sin_cos(x, ws)
-    sy, cy = _sin_cos(y, ws)
+    _check_domain(combined, half_pi, "pi/2")
+    terms = sin_terms_for(ws)
+    sx, cx = _sin_cos(x, ws, terms)
+    sy, cy = _sin_cos(y, ws, terms)
     if which.startswith(SIN):
         first, second = fd_mul(sx, cy), fd_mul(cx, sy)
     else:
@@ -330,14 +316,14 @@ def angle_add(x: Angle, y: Angle, which: str, scale: int) -> FixedDec:
     return fd_rescale(out, scale)
 
 
-def reduce_angle(theta: Angle, scale: int) -> Angle:
+def reduce_angle(theta: FixedDec, scale: int) -> FixedDec:
     """Bring an angle into [-pi, pi] by subtracting whole turns."""
     ws = scale + GUARD
     pi = pi_reference(ws)
     two_pi = fd_mul(pi, FixedDec.from_int(2))
-    t = fd_rescale(theta.radians, ws)
+    t = fd_rescale(theta, ws)
     shifted = fd_add(t, pi)
     # floor((t + pi) / 2pi): both mantissas sit at ws and 2pi is positive
     k = shifted.sign * shifted.mantissa.to_int() // two_pi.mantissa.to_int()
     out = fd_sub(t, fd_mul(FixedDec.from_int(k), two_pi))
-    return Angle(fd_rescale(out, scale))
+    return fd_rescale(out, scale)

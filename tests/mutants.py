@@ -101,13 +101,16 @@ MUTANTS = (
            "k = shifted.sign * (shifted.mantissa.to_int() // two_pi.mantissa.to_int())",
            (TRIG,)),
     Mutant("for-scale-no-guard", "trig_series.py",
-           "return cls.from_degrees(degrees, scale + ANGLE_DIGITS)",
-           "return cls.from_degrees(degrees, scale)", (TRIG,)),
+           "ws = scale + ANGLE_DIGITS", "ws = scale", (TRIG,)),
     Mutant("recurrence-factor-one", "trig_series.py",
-           "fd_mul(FixedDec.from_int(2), cos_series(h, terms + 1, ws))",
-           "fd_mul(FixedDec.from_int(1), cos_series(h, terms + 1, ws))", (TRIG,)),
+           "fd_mul(FixedDec.from_int(2), cos_h)", "fd_mul(FixedDec.from_int(1), cos_h)", (TRIG,)),
     Mutant("table-cos-sine-count", "trig_series.py",
-           "cos_series(h, terms + 1, ws)", "cos_series(h, terms, ws)", (GUARD,)),
+           "cos_series(u, terms + 1, ws)", "cos_series(u, terms, ws)", (GUARD, TRIG)),
+    Mutant("eval-cos-sine-count", "trig_series.py",
+           "sin_terms_for(digits, 3142) + (fn == COS)", "sin_terms_for(digits, 3142)", (TRIG,)),
+    Mutant("shift-h-truncated", "trig_series.py",
+           "if abs(h) > FixedDec(1, 5, 1):", "if abs(fd_rescale(h, ws)) > FixedDec(1, 5, 1):",
+           (CLI,)),
     Mutant("drift-margin-linear", "trig_series.py",
            "return 3 * k * k", "return 3 * k", (TRIG_ORACLE,)),
     Mutant("tie-fallback-never", "trig_series.py",
@@ -128,8 +131,7 @@ MUTANTS = (
     Mutant("converge-cap-raised", "cli.py",
            "if terms > DEFAULT_TERM_CAP:", "if terms > DEFAULT_TERM_CAP + 1000:", (CLI,)),
     Mutant("verify-angle-narrowed", "cli.py",
-           "Angle.for_scale(table_degrees(k), 20)", "Angle.for_scale(table_degrees(k), 10)",
-           (TRIG_ORACLE,)),
+           "theta_t(table_degrees(k), 20)", "theta_t(table_degrees(k), 10)", (TRIG_ORACLE,)),
 )
 
 

@@ -63,14 +63,14 @@ from madhava.trig_series import (
     COS_SUM,
     SIN_DIFF,
     SIN_SUM,
-    Angle,
     angle_add,
     build_sine_table,
     cos_series,
     sin_series,
     sin_sq_series,
     sin_terms_for,
-    taylor_shift_sin,
+    taylor_shift,
+    theta_t,
 )
 from conftest import PI_50, as_fraction
 
@@ -83,9 +83,9 @@ def report(num, label, t0, budget):
     print(f"[PASS] criterion {num}: {label} ({elapsed:.2f}s < {budget}s)")
 
 
-def sin_direct(theta: Angle, terms: int, scale: int) -> FixedDec:
+def sin_direct(theta: FixedDec, terms: int, scale: int) -> FixedDec:
     """Independent oracle: plain term-by-term summation, no nesting."""
-    th = fd_rescale(theta.radians, scale)
+    th = fd_rescale(theta, scale)
     th2 = fd_mul(th, th)
     acc = FixedDec.from_int(0, scale)
     power = th
@@ -119,9 +119,9 @@ def test_criterion_3_sine_table():
     t0 = time.perf_counter()
     table = build_sine_table(10)
     tol = Fraction(1, 10**8)
-    for k, value in table.entries:
+    for k, value in table:
         degrees = fd_from_ratio(15 * k, 4, 1, 22)
-        independent = sin_direct(Angle.from_degrees(degrees, 30), 15, 20)
+        independent = sin_direct(theta_t(degrees, 20), 15, 20)
         assert abs(as_fraction(value) - as_fraction(independent)) <= tol, f"entry {k}"
     report(3, "all 24 table entries match a 15-term scale-20 evaluation to 1e-8", t0, 1.0)
 
@@ -194,7 +194,7 @@ def test_criterion_6_trig_identity_suite():
     sq_terms = sin_terms_for(scale, 3142)
     for _ in range(50):
         m = rng.randrange(0, 1570 * 10**15 + 1)
-        theta = Angle(FixedDec(1, BigNat.from_int(m), scale))
+        theta = FixedDec(1, BigNat.from_int(m), scale)
         s, c = sin_series(theta, terms, scale), cos_series(theta, terms, scale)
         pyth = as_fraction(s) ** 2 + as_fraction(c) ** 2
         assert abs(pyth - 1) <= Fraction(10, 10**scale)
@@ -206,23 +206,23 @@ def test_criterion_6_trig_identity_suite():
     grid_terms = sin_terms_for(grid_scale + 12)
     for xd in ("5", "18", "31", "44", "57"):
         for yd in ("3", "11", "23", "29"):
-            x = Angle.from_degrees(fd_from_string(xd), 30)
-            y = Angle.from_degrees(fd_from_string(yd), 30)
+            x = theta_t(fd_from_string(xd), 20)
+            y = theta_t(fd_from_string(yd), 20)
             for rule in (SIN_SUM, SIN_DIFF, COS_SUM, COS_DIFF):
                 got = angle_add(x, y, rule, grid_scale)
-                xr, yr = fd_rescale(x.radians, 30), fd_rescale(y.radians, 30)
-                combined = Angle(fd_add(xr, yr) if rule.endswith("sum") else fd_sub(xr, yr))
+                xr, yr = fd_rescale(x, 30), fd_rescale(y, 30)
+                combined = fd_add(xr, yr) if rule.endswith("sum") else fd_sub(xr, yr)
                 series = sin_series if rule.startswith("sin") else cos_series
                 direct = series(combined, grid_terms, grid_scale)
                 assert abs(as_fraction(got) - as_fraction(direct)) <= Fraction(10, 10**grid_scale)
 
     # cubic error order of the shift formula
-    u = Angle.from_degrees(fd_from_string("30"), 35)
+    u = theta_t(fd_from_string("30"), 25)
     errs = {}
     for h_str in ("0.02", "0.01"):
         h = fd_from_string(h_str)
-        shifted = taylor_shift_sin(u, h, 25)
-        target = Angle(fd_add(fd_rescale(u.radians, 35), fd_rescale(h, 35)))
+        shifted = taylor_shift(u, h, "sin", 25)
+        target = fd_add(fd_rescale(u, 35), fd_rescale(h, 35))
         direct = sin_series(target, sin_terms_for(35), 25)
         errs[h_str] = abs(as_fraction(shifted) - as_fraction(direct))
     ratio = errs["0.02"] / errs["0.01"]

@@ -221,6 +221,15 @@ class TestTrigCommands:
         code = main(["trig", "eval", "--fn", "sin", "--radians", "3.2", "--scale", "10"])
         assert code == 2
 
+    @pytest.mark.parametrize("h, admitted", [
+        ("0.5", True), ("-0.5", True),
+        ("0.500000000000000000001", False), ("-0.500000000000000000001", False)])
+    def test_shift_step_bound_reads_the_exact_h(self, h, admitted, capsys):
+        # the 21st decimal lies past scale + GUARD, where h is truncated
+        code, out = run_cli(capsys, "trig", "shift", "--fn", "sin", "--u-degrees", "30",
+                            "--h", h, "--scale", "10")
+        assert (code, out == "") == ((0, False) if admitted else (2, True))
+
 
 class TestQuadChrono:
     def test_quad_radius(self, capsys):

@@ -32,7 +32,7 @@ def settled_digits(guard: int, table_scales: tuple[int, ...]) -> tuple[list[str]
         coeff_table.cache_clear()
         try:
             return ([str(pi_reference(s)) for s in PI_SCALES],
-                    [str(v) for s in table_scales for _, v in build_sine_table(s).entries])
+                    [str(v) for s in table_scales for _, v in build_sine_table(s)])
         finally:
             pi_reference.cache_clear()
             coeff_table.cache_clear()

@@ -10,7 +10,7 @@ import pytest
 
 from madhava.bigfixed import BigNat, FixedDec
 from madhava.geometry import circumradius, circumradius_oracle
-from madhava.trig_series import Angle, reduce_angle
+from madhava.trig_series import reduce_angle
 from conftest import PI_50, as_fraction
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -28,7 +28,7 @@ def test_reduce_angle_lands_in_range_by_whole_turns(scale, data):
     # |theta| < 100 radians: up to 16 turns away from [-pi, pi]
     mantissa = data.draw(st.integers(-100 * 10**scale, 100 * 10**scale))
     theta = fixed(mantissa, scale)
-    reduced = as_fraction(reduce_angle(Angle(theta), scale).radians)
+    reduced = as_fraction(reduce_angle(theta, scale))
     slack = 5 * Fraction(1, 10**scale)
     assert abs(reduced) <= PI_50 + slack
     turns = (as_fraction(theta) - reduced) / (2 * PI_50)

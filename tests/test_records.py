@@ -21,7 +21,7 @@ from madhava.pi_series import (
     circumference_check,
     evaluate,
 )
-from madhava.trig_series import Angle, CoeffTable, SineTable, build_sine_table, coeff_table
+from madhava.trig_series import CoeffTable, coeff_table, theta_t
 
 
 def _check(passed=True):
@@ -41,9 +41,7 @@ def _records():
         SeriesSpec("leibniz", 5),
         evaluate(SeriesSpec("leibniz", 5)),
         circumference_check(),
-        Angle(fd_from_string("0.5")),
         coeff_table("sin", 3, 10),
-        build_sine_table(10),
     ]
 
 
@@ -51,7 +49,7 @@ def test_every_record_is_listed():
     kinds = {type(r) for r in _records()}
     assert kinds == {KaliInstant, CalendarDate, EpochReport, VerifyCheck, VerifyReport,
                      QuadSides, SeriesDef, SeriesSpec, PiResult, CircumferenceReport,
-                     Angle, CoeffTable, SineTable}
+                     CoeffTable}
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)
@@ -113,9 +111,7 @@ class TestBehaviour:
         assert tuple(QuadSides(*sides)) == tuple(sides)
         assert VerifyReport((_check(), _check())).overall_pass
         assert not VerifyReport((_check(), _check(False))).overall_pass
-        angle = Angle.from_degrees(FixedDec.from_int(180), 10)
-        assert type(angle) is Angle
-        assert str(angle.radians) == "3.1415926535"
+        assert str(theta_t(FixedDec.from_int(180), 0)) == "3.1415926535"
 
 
 def test_import_cli_skips_dataclasses():

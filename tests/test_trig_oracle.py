@@ -18,7 +18,9 @@ The digest keys with rational exact values (sin 30, cos 60, sin^2 45
 and the like) are checked with a wide oracle guard: theta_t sits just
 below the exact angle, so f(theta_t) lies a hair off the rational value
 and its truncation can end in ...999.  The strict xfails below (reason
-"ROADMAP item 8") are outputs that break this contract today.
+"ROADMAP item 8") are outputs that break this contract today, and so
+is the one with reason "ROADMAP item 14": a --radians value is
+truncated at scale + GUARD before the series reads it.
 """
 
 import json
@@ -34,7 +36,7 @@ from madhava import cli, trig_series
 from madhava.bigfixed import BigNat, FixedDec
 from madhava.cli import main
 from madhava.pi_series import GUARD
-from madhava.trig_series import ANGLE_DIGITS, SINE_TABLE_SIZE, Angle, build_sine_table
+from madhava.trig_series import ANGLE_DIGITS, SINE_TABLE_SIZE, build_sine_table
 from conftest import as_fraction, machin_pi_floor, sin_round, taylor_bracket, trig_floor
 
 DIGESTS = json.loads(
@@ -186,9 +188,18 @@ def test_radians_print_the_truncation(theta, fn, scale, capsys):
     assert printed(capsys, argv) == truncation(fn, Fraction(theta), scale)
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 14")
+def test_radians_are_read_as_given(capsys):
+    # pi/6 rounded up at 40 decimals: sin of it lies just above 1/2, and
+    # sin of its truncation at scale + GUARD just below
+    theta = "0.5235987755982988730771072305465838140329"
+    argv = ["trig", "eval", "--fn", "sin", "--radians", theta, "--scale", "10"]
+    assert printed(capsys, argv) == truncation("sin", Fraction(theta), 10, guard=50)
+
+
 @cache
 def sine_table(scale: int) -> dict[int, str]:
-    return {k: str(value) for k, value in build_sine_table(scale).entries}
+    return {k: str(value) for k, value in build_sine_table(scale)}
 
 
 @pytest.mark.parametrize("scale, k", [
@@ -199,8 +210,16 @@ def test_sine_table_rounds_sin_at_the_table_angle(scale, k):
     assert sine_table(scale)[k] == fixed(q, scale)
 
 
+def test_sine_table_rounds_sin_at_every_scale_to_300():
+    for scale in range(10, 301):
+        angles = [cli_degrees_angle(Fraction(15 * k, 4), scale)
+                  for k in range(1, SINE_TABLE_SIZE + 1)]
+        expected = [(k, fixed(sin_round(theta, scale), scale)) for k, theta in enumerate(angles, 1)]
+        assert [(k, str(value)) for k, value in build_sine_table(scale)] == expected, scale
+
+
 def test_sine_table_ninety_degrees_lands_on_one():
-    k, value = build_sine_table(150).entries[-1]
+    k, value = build_sine_table(150)[-1]
     assert (k, str(value)) == (24, "1." + "0" * 150)
 
 
@@ -223,8 +242,8 @@ def test_second_difference_sines_within_their_drift_bound(scale):
     # on the table's grid and on the tie rerun's step theta_k / k.  The
     # wide guard settles the floor at 30 and 90 degrees, where
     # sin(theta_k) lies a hair below 1/2 and 1
-    def angle(theta: Fraction, ws: int) -> Angle:
-        return Angle(FixedDec(1, BigNat.from_int(floor(theta * 10**ws)), ws))
+    def angle(theta: Fraction, ws: int) -> FixedDec:
+        return FixedDec(1, BigNat.from_int(floor(theta * 10**ws)), ws)
 
     ws = scale + GUARD
     grid = trig_series._second_difference_sines(

@@ -21,6 +21,7 @@ from madhava.bigfixed import (
 )
 from madhava.pi_series import GUARD, pi_reference
 from madhava.trig_series import (
+    _sin_cos,
     ANGLE_DIGITS,
     COS,
     COS_DIFF,
@@ -29,21 +30,21 @@ from madhava.trig_series import (
     SIN_DIFF,
     SIN_SUM,
     SINSQ,
-    Angle,
     CoeffTable,
     angle_add,
     build_sine_table,
     coeff_table,
     cos_series,
+    full_domain_terms,
     nested_eval,
     reduce_angle,
     sin_series,
     sin_sq_series,
     sin_terms_for,
-    taylor_shift_cos,
-    taylor_shift_sin,
+    taylor_shift,
+    theta_t,
 )
-from conftest import as_fraction
+from conftest import as_fraction, trig_floor
 
 
 def ulp(scale):
@@ -51,13 +52,14 @@ def ulp(scale):
 
 
 def deg(s, scale=30):
-    return Angle.from_degrees(fd_from_string(s), scale)
+    # the angle floored at scale, from pi floored ANGLE_DIGITS further
+    return theta_t(fd_from_string(s), scale - ANGLE_DIGITS)
 
 
 def rand_angle(rng, scale, max_milli=1570):
     # uniform FixedDec angle in [0, max_milli/1000], exact by construction
     m = rng.randrange(0, max_milli * 10 ** (scale - 3) + 1)
-    return Angle(FixedDec(1, BigNat.from_int(m), scale))
+    return FixedDec(1, BigNat.from_int(m), scale)
 
 
 class TestCoeffTable:
@@ -80,16 +82,16 @@ class TestCoeffTable:
         with pytest.raises(ValueError):
             coeff_table(SIN, 0, 10)
         with pytest.raises(ValueError):
-            nested_eval(CoeffTable(SIN, ()), Angle(fd_from_string("0.5")), 10)
+            nested_eval(CoeffTable(SIN, ()), fd_from_string("0.5"), 10)
 
     def test_single_coefficient(self):
         # constant polynomial: cos table of one term is exactly 1
         t = coeff_table(COS, 1, 12)
-        v = nested_eval(t, Angle(fd_from_string("0.73")), 12)
+        v = nested_eval(t, fd_from_string("0.73"), 12)
         assert fd_to_string(v) == "1.000000000000"
         # sin path with one term reduces to theta itself
         t = coeff_table(SIN, 1, 12)
-        v = nested_eval(t, Angle(fd_from_string("0.5")), 12)
+        v = nested_eval(t, fd_from_string("0.5"), 12)
         assert fd_to_string(v) == "0.500000000000"
 
     def test_sin_sq_matches_running_product_oracle(self):
@@ -118,8 +120,8 @@ class TestNestedEval:
             for purpose in (SIN, COS):
                 table = coeff_table(purpose, terms, ws)
                 got = fd_rescale(nested_eval(table, theta, ws), scale)
-                th = as_fraction(theta.radians)
-                x_m = (theta.radians.mantissa.to_int() ** 2) // 10**ws
+                th = as_fraction(theta)
+                x_m = (theta.mantissa.to_int() ** 2) // 10**ws
                 x = Fraction(x_m, 10**ws)
                 acc = sum(as_fraction(c) * x**k for k, c in enumerate(table.coefficients))
                 if purpose == SIN:
@@ -129,7 +131,7 @@ class TestNestedEval:
 
 class TestSinCos:
     def test_zero(self):
-        zero = Angle(fd_from_string("0.0"))
+        zero = fd_from_string("0.0")
         assert sin_series(zero, 5, 10).is_zero()
         assert fd_to_string(cos_series(zero, 5, 10)) == "1.0000000000"
 
@@ -153,9 +155,17 @@ class TestSinCos:
 
     def test_unreduced_angle_rejected(self):
         with pytest.raises(ValueError):
-            sin_series(Angle(fd_from_string("3.2")), 8, 10)
+            sin_series(fd_from_string("3.2"), 8, 10)
         with pytest.raises(ValueError):
-            cos_series(Angle(fd_from_string("-3.2")), 8, 10)
+            cos_series(fd_from_string("-3.2"), 8, 10)
+
+    @pytest.mark.parametrize("u", ("1.570796", "-1.570796", "1.5", "1.2"))
+    def test_pair_cos_within_one_ulp(self, u):
+        # the pair's cos sums one term more than its sin: with the sine's
+        # count, cos 1.570796 at ws 30 is 7 ulp from the floor
+        ws = 30
+        _, c = _sin_cos(fd_from_string(u), ws, sin_terms_for(ws))
+        assert abs(c.sign * c.mantissa.to_int() - trig_floor("cos", Fraction(u), ws)) <= 1
 
     def test_pythagorean_random(self):
         rng = random.Random(515)
@@ -172,7 +182,7 @@ class TestSinCos:
 
 class TestSinSquared:
     def test_zero(self):
-        assert sin_sq_series(Angle(fd_from_string("0.0")), 5, 10).is_zero()
+        assert sin_sq_series(fd_from_string("0.0"), 5, 10).is_zero()
 
     def test_exact_values(self):
         v = sin_sq_series(deg("45"), 10, 12)
@@ -196,7 +206,7 @@ class TestSinSquared:
 
     def test_denominator_structure(self):
         # D_2 = 3 and D_3 = 22.5: theta^4/3, theta^6/22.5 with alternating signs
-        theta = Angle(fd_from_string("1.0"))
+        theta = fd_from_string("1.0")
         v = sin_sq_series(theta, 3, 20)
         oracle = Fraction(1) - Fraction(1, 3) + Fraction(2, 45)
         assert abs(as_fraction(v) - oracle) <= 5 * ulp(20)
@@ -205,8 +215,8 @@ class TestSinSquared:
 class TestSineTable:
     def test_invariants(self):
         table = build_sine_table(10)
-        assert len(table.entries) == 24
-        values = [v for _, v in table.entries]
+        assert len(table) == 24
+        values = [v for _, v in table]
         for a, b in zip(values, values[1:]):
             assert a < b
         assert fd_to_string(values[7]) == "0.5000000000"   # 30 degrees
@@ -216,7 +226,7 @@ class TestSineTable:
         # frozen from a 50-digit independent computation
         table = build_sine_table(10)
         frozen = {1: "0.06540313", 8: "0.50000000", 12: "0.70710678", 24: "1.00000000"}
-        for k, value in table.entries:
+        for k, value in table:
             if k in frozen:
                 assert fd_to_string(fd_round(value, 8)) == frozen[k]
 
@@ -229,6 +239,16 @@ class TestSineTable:
         # table's eight-digit claim needs 7 terms (11 comfortably suffice)
         assert sin_terms_for(9) == 7
         assert sin_terms_for(12) == 9
+
+    @pytest.mark.parametrize("fn", (SIN, COS))
+    @pytest.mark.parametrize("scale", (10, 20, 40, 200, 1000, 2000))
+    def test_full_domain_remainder_below_one_ulp(self, fn, scale):
+        # the Lagrange remainder after N terms on |theta| <= 3.142,
+        # theta**p / p! with p = 2N + 1 for sin and 2N for cos, below
+        # 10**-scale in exact integers
+        terms = full_domain_terms(scale, fn)
+        p = 2 * terms + (fn == SIN)
+        assert 3142**p * 10**scale < factorial(p) * 1000**p
 
     @pytest.mark.parametrize("theta_bound_milli", [1, 100, 1571, 3142, 5000])
     def test_terms_match_direct_search(self, theta_bound_milli):
@@ -247,20 +267,20 @@ class TestSineTable:
 class TestTaylorShift:
     def test_zero_shift_collapses(self):
         u = deg("25")
-        shifted = taylor_shift_sin(u, fd_from_string("0.0"), 20)
+        shifted = taylor_shift(u, fd_from_string("0.0"), SIN, 20)
         direct = sin_series(u, sin_terms_for(30), 20)
         assert abs(as_fraction(shifted) - as_fraction(direct)) <= 2 * ulp(20)
 
     def test_at_zero_base_point(self):
         h = fd_from_string("0.01")
-        assert fd_to_string(taylor_shift_sin(Angle(fd_from_string("0")), h, 10)) == "0.0100000000"
-        assert fd_to_string(taylor_shift_cos(Angle(fd_from_string("0")), h, 10)) == "0.9999500000"
+        assert fd_to_string(taylor_shift(fd_from_string("0"), h, SIN, 10)) == "0.0100000000"
+        assert fd_to_string(taylor_shift(fd_from_string("0"), h, COS, 10)) == "0.9999500000"
 
     def test_shift_near_direct_series(self):
         u = deg("30")
         h = fd_from_string("0.01")
-        shifted = taylor_shift_sin(u, h, 20)
-        target = Angle(fd_add(fd_rescale(u.radians, 30), fd_rescale(h, 30)))
+        shifted = taylor_shift(u, h, SIN, 20)
+        target = fd_add(fd_rescale(u, 30), fd_rescale(h, 30))
         direct = sin_series(target, sin_terms_for(30), 20)
         assert abs(as_fraction(shifted) - as_fraction(direct)) <= Fraction(2, 10**7)
 
@@ -269,8 +289,8 @@ class TestTaylorShift:
         errs = {}
         for h_str in ("0.02", "0.01"):
             h = fd_from_string(h_str)
-            shifted = taylor_shift_sin(u, h, 25)
-            target = Angle(fd_add(fd_rescale(u.radians, 35), fd_rescale(h, 35)))
+            shifted = taylor_shift(u, h, SIN, 25)
+            target = fd_add(fd_rescale(u, 35), fd_rescale(h, 35))
             direct = sin_series(target, sin_terms_for(35), 25)
             errs[h_str] = abs(as_fraction(shifted) - as_fraction(direct))
         ratio = errs["0.02"] / errs["0.01"]
@@ -278,15 +298,19 @@ class TestTaylorShift:
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            taylor_shift_sin(deg("120"), fd_from_string("0.1"), 15)
+            taylor_shift(deg("120"), fd_from_string("0.1"), SIN, 15)
         with pytest.raises(ValueError):
-            taylor_shift_sin(deg("30"), fd_from_string("0.6"), 15)
+            taylor_shift(deg("30"), fd_from_string("0.6"), SIN, 15)
+
+    def test_unknown_function_refused(self):
+        with pytest.raises(ValueError):
+            taylor_shift(deg("30"), fd_from_string("0.1"), SINSQ, 15)
 
 
 class TestAngleAdd:
     def test_y_zero_is_sin(self):
         x = deg("37")
-        v = angle_add(x, Angle(fd_from_string("0")), SIN_SUM, 15)
+        v = angle_add(x, fd_from_string("0"), SIN_SUM, 15)
         direct = sin_series(x, sin_terms_for(25), 15)
         assert abs(as_fraction(v) - as_fraction(direct)) <= 2 * ulp(15)
 
@@ -313,9 +337,9 @@ class TestAngleAdd:
                 x, y = deg(xd), deg(yd)
                 for rule in (SIN_SUM, SIN_DIFF, COS_SUM, COS_DIFF):
                     got = angle_add(x, y, rule, scale)
-                    sum_angle = fd_add(fd_rescale(x.radians, 30), fd_rescale(y.radians, 30))
-                    diff_angle = fd_sub(fd_rescale(x.radians, 30), fd_rescale(y.radians, 30))
-                    combined = Angle(sum_angle if rule.endswith("sum") else diff_angle)
+                    sum_angle = fd_add(fd_rescale(x, 30), fd_rescale(y, 30))
+                    diff_angle = fd_sub(fd_rescale(x, 30), fd_rescale(y, 30))
+                    combined = sum_angle if rule.endswith("sum") else diff_angle
                     series = sin_series if rule.startswith("sin") else cos_series
                     direct = series(combined, terms, scale)
                     assert abs(as_fraction(got) - as_fraction(direct)) <= 10 * ulp(scale), (xd, yd, rule)
@@ -336,17 +360,17 @@ class TestHalfPiBoundary:
         ws = scale + ANGLE_DIGITS
         right, half, zero = deg("90", ws), deg("45", ws), deg("0", ws)
         h = fd_from_string("0")
-        taylor_shift_sin(right, h, scale)
-        taylor_shift_cos(right, h, scale)
+        taylor_shift(right, h, SIN, scale)
+        taylor_shift(right, h, COS, scale)
         angle_add(half, half, SIN_SUM, scale)
         angle_add(right, zero, COS_SUM, scale)
 
     @pytest.mark.parametrize("scale", range(61))
     def test_past_ninety_degrees_refused(self, scale):
         past = deg("90.0001", scale + ANGLE_DIGITS)
-        for shift in (taylor_shift_sin, taylor_shift_cos):
+        for fn in (SIN, COS):
             with pytest.raises(ValueError):
-                shift(past, fd_from_string("0"), scale)
+                taylor_shift(past, fd_from_string("0"), fn, scale)
 
 
 class TestDomainSlack:
@@ -357,20 +381,20 @@ class TestDomainSlack:
         pi = pi_reference(ws).mantissa.to_int()
         for fn in (sin_series, cos_series, sin_sq_series):
             for sign in (1, -1):
-                fn(Angle(FixedDec(sign, BigNat.from_int(pi + 2), ws)), 3, scale)
+                fn(FixedDec(sign, BigNat.from_int(pi + 2), ws), 3, scale)
                 with pytest.raises(ValueError):
-                    fn(Angle(FixedDec(sign, BigNat.from_int(pi + 3), ws)), 3, scale)
+                    fn(FixedDec(sign, BigNat.from_int(pi + 3), ws), 3, scale)
 
     @pytest.mark.parametrize("scale", (0, 7, 30))
     def test_shifts_and_rules_admit_two_ulp_past_half_pi(self, scale):
         ws = scale + ANGLE_DIGITS
-        right = Angle.for_scale(FixedDec.from_int(90), scale).radians.mantissa.to_int()
-        zero = Angle(FixedDec.from_int(0, ws))
+        right = theta_t(FixedDec.from_int(90), scale).mantissa.to_int()
+        zero = FixedDec.from_int(0, ws)
         h = fd_from_string("0")
         for past, admitted in ((2, True), (3, False)):
-            u = Angle(FixedDec(1, BigNat.from_int(right + past), ws))
-            calls = (lambda: taylor_shift_sin(u, h, scale),
-                     lambda: taylor_shift_cos(u, h, scale),
+            u = FixedDec(1, BigNat.from_int(right + past), ws)
+            calls = (lambda: taylor_shift(u, h, SIN, scale),
+                     lambda: taylor_shift(u, h, COS, scale),
                      lambda: angle_add(u, zero, SIN_SUM, scale),
                      lambda: angle_add(zero, u, COS_SUM, scale))
             for call in calls:
@@ -390,17 +414,17 @@ class TestReduceAngle:
         for _ in range(40):
             theta = rand_angle(rng, scale, 3141)
             if rng.random() < 0.5:
-                theta = Angle(-theta.radians)
+                theta = -theta
             k = rng.randrange(-3, 4)
-            shifted = fd_add(fd_rescale(theta.radians, scale),
+            shifted = fd_add(fd_rescale(theta, scale),
                              fd_mul(FixedDec.from_int(k), two_pi))
-            reduced = reduce_angle(Angle(shifted), scale)
-            assert abs(as_fraction(reduced.radians) - as_fraction(theta.radians)) <= 5 * ulp(scale)
-            assert abs(as_fraction(reduced.radians)) <= as_fraction(pi) + 5 * ulp(scale)
+            reduced = reduce_angle(shifted, scale)
+            assert abs(as_fraction(reduced) - as_fraction(theta)) <= 5 * ulp(scale)
+            assert abs(as_fraction(reduced)) <= as_fraction(pi) + 5 * ulp(scale)
 
     def test_within_range_is_stable(self):
-        v = reduce_angle(Angle(fd_from_string("1.5")), 15)
-        assert fd_to_string(v.radians) == "1.500000000000000"
+        v = reduce_angle(fd_from_string("1.5"), 15)
+        assert fd_to_string(v) == "1.500000000000000"
 
     @pytest.mark.parametrize("scale", (0, 3, 20, 41))
     def test_odd_multiples_of_pi_and_their_neighbours(self, scale):
@@ -413,10 +437,10 @@ class TestReduceAngle:
             for offset in (-1, 0, 1):
                 m = (2 * j + 1) * pi_m + offset
                 t = Fraction(m, 10**ws)
-                theta = Angle(FixedDec(1 if m >= 0 else -1, BigNat.from_int(abs(m)), ws))
+                theta = FixedDec(1 if m >= 0 else -1, BigNat.from_int(abs(m)), ws)
                 k = floor((t + pi) / (2 * pi))
                 expected = Fraction(int((t - 2 * pi * k) * 10**scale), 10**scale)
-                got = reduce_angle(theta, scale).radians
+                got = reduce_angle(theta, scale)
                 assert got.scale == scale
                 assert as_fraction(got) == expected, (j, offset)
 
@@ -424,24 +448,19 @@ class TestReduceAngle:
 class TestAngleConstruction:
     def test_degrees_to_radians(self):
         a = deg("180", 25)
-        assert abs(as_fraction(a.radians) - as_fraction(pi_reference(25))) <= 2 * ulp(25)
+        assert abs(as_fraction(a) - as_fraction(pi_reference(25))) <= 2 * ulp(25)
 
     def test_grid_step_exact(self):
         a = deg("3.75", 25)
-        b = Angle.from_degrees(fd_from_string("3.750000"), 25)
-        assert fd_to_string(a.radians) == fd_to_string(b.radians)
+        b = theta_t(fd_from_string("3.750000"), 25 - ANGLE_DIGITS)
+        assert fd_to_string(a) == fd_to_string(b)
 
 
 class TestAngleForScale:
-    def test_is_from_degrees_at_the_angle_digits_scale(self):
-        for text in ("0", "3.75", "-45.5", "90", "1000.125"):
-            degrees = fd_from_string(text)
-            assert Angle.for_scale(degrees, 25) == Angle.from_degrees(degrees, 25 + ANGLE_DIGITS)
-
     @pytest.mark.parametrize("scale", range(61))
     def test_right_angle_is_half_of_the_floored_pi(self, scale):
         # the pi/2 limit of the shift formulas and the addition rules
         pi = pi_reference(scale + 2 * ANGLE_DIGITS).mantissa.to_int()
-        got = Angle.for_scale(FixedDec.from_int(90), scale).radians
+        got = theta_t(FixedDec.from_int(90), scale)
         assert (got.sign, got.mantissa.to_int(), got.scale) == (
             1, pi // (2 * 10**ANGLE_DIGITS), scale + ANGLE_DIGITS)
