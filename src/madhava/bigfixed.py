@@ -262,23 +262,6 @@ def _as_nat(v) -> BigNat:
     raise TypeError(f"expected BigNat or int, got {type(v).__name__}")
 
 
-# spec-named operation surface ------------------------------------------------
-
-def nat_add(a: BigNat, b: BigNat) -> BigNat:
-    """Exact sum in canonical form."""
-    return _as_nat(a) + _as_nat(b)
-
-
-def nat_mul(a: BigNat, b: BigNat) -> BigNat:
-    """Exact product."""
-    return _as_nat(a) * _as_nat(b)
-
-
-def nat_divrem(a: BigNat, b: BigNat) -> tuple[BigNat, BigNat]:
-    """Exact (quotient, remainder) with a = q*b + r and 0 <= r < b."""
-    return divmod(_as_nat(a), _as_nat(b))
-
-
 # ---------------------------------------------------------------------------
 # FixedDec
 # ---------------------------------------------------------------------------

@@ -36,23 +36,6 @@ EPOCH_TARGET = (1402, 3, 10)
 EPOCH_TOLERANCE_DAYS = 2
 
 
-# NamedTuple bodies may not define __new__, so the subclass below validates
-class _KaliInstant(NamedTuple):
-    kali_day: FixedDec
-
-
-class KaliInstant(_KaliInstant):
-    """Days since the Kali epoch; fractional days allowed."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.kali_day.sign < 0:
-            raise ValueError("kali_day must be non-negative")
-        return self
-
-
 class CalendarDate(NamedTuple):
     """A Julian-calendar date."""
 
@@ -82,10 +65,14 @@ def _jdn_to_julian(jdn: int) -> tuple[int, int, int]:
     return year, month, day
 
 
-def kali_to_julian_day(k: KaliInstant) -> FixedDec:
-    """JD = KALI_EPOCH_JD + kali_day (exact at the common scale)."""
-    s = max(k.kali_day.scale, KALI_EPOCH_JD.scale)
-    return fd_add(fd_rescale(k.kali_day, s), fd_rescale(KALI_EPOCH_JD, s))
+def kali_to_julian_day(kali_day: FixedDec) -> FixedDec:
+    """JD = KALI_EPOCH_JD + kali_day (exact at the common scale); the
+    day counts from the Kali epoch, fractions allowed, and may not be
+    negative."""
+    if kali_day.sign < 0:
+        raise ValueError("kali_day must be non-negative")
+    s = max(kali_day.scale, KALI_EPOCH_JD.scale)
+    return fd_add(fd_rescale(kali_day, s), fd_rescale(KALI_EPOCH_JD, s))
 
 
 def jd_to_date(jd: FixedDec) -> CalendarDate:
@@ -118,7 +105,7 @@ def venvaroha_epoch_check() -> EpochReport:
     matches_paper is true when it falls within two days of 10 March 1402."""
     cycles = fd_mul(ANOMALISTIC_MONTH_DAYS, FixedDec.from_int(VENVAROHA_CYCLES))
     kali = fd_add(cycles, FixedDec.from_int(VENVAROHA_KALI_OFFSET, cycles.scale))
-    jd = kali_to_julian_day(KaliInstant(kali))
+    jd = kali_to_julian_day(kali)
     date = jd_to_date(jd)
     target = _julian_to_jdn(*EPOCH_TARGET)
     jdn = _julian_to_jdn(date.year, date.month, date.day)

@@ -16,8 +16,10 @@ byte-identical bytes.  Exit codes: 0 success, 1 verification failure,
 early, as ``| head`` does.
 
 Each leaf subparser in build_parser attaches its handler with
-``set_defaults(run=cmd_x)`` and main calls ``args.run(args, parser)``;
-decimal arguments arrive parsed, as FixedDec of at most SCALE_CAP digits.
+``set_defaults(run=cmd_x, parser=p)`` and main calls ``args.run(args)``;
+a handler refuses through ``args.parser``, its own subcommand's, so the
+usage line printed is that subcommand's.  Decimal arguments arrive
+parsed, as FixedDec of at most SCALE_CAP digits.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from .bigfixed import (
     fd_to_string,
 )
 from .chronology import venvaroha_epoch_check
-from .geometry import QuadSides, circumradius
+from .geometry import circumradius
 from .pi_series import (
     CORRECTIONS,
     DEFAULT_TERM_CAP,
+    MADHAVA_CIRCUMFERENCE,
     NO_CORRECTION,
     SCALE_CAP,
     SERIES_IDS,
@@ -80,14 +83,6 @@ class VerifyCheck(NamedTuple):
     passed: bool
 
 
-class VerifyReport(NamedTuple):
-    checks: tuple[VerifyCheck, ...]
-
-    @property
-    def overall_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 # ---------------------------------------------------------------------------
 # verify checks
 # ---------------------------------------------------------------------------
@@ -107,16 +102,14 @@ def _check_pi_fraction() -> VerifyCheck:
 
 
 def _check_circumference() -> VerifyCheck:
-    rep = circumference_check()
-    ok = (rep.madhava.to_int() == 2_827_433_388_233
-          and rep.computed.to_int() == 2_827_433_388_231
-          and rep.delta == 2)
+    computed = circumference_check()
+    delta = MADHAVA_CIRCUMFERENCE - computed
     return VerifyCheck(
         name="circumference_delta",
         expected="madhava 2827433388233, computed 2827433388231, delta 2",
-        computed=f"madhava {rep.madhava}, computed {rep.computed}, delta {rep.delta}",
+        computed=f"madhava {MADHAVA_CIRCUMFERENCE}, computed {computed}, delta {delta}",
         tolerance="exact",
-        passed=ok,
+        passed=computed == 2_827_433_388_231 and delta == 2,
     )
 
 
@@ -170,23 +163,23 @@ def _check_hierarchy() -> VerifyCheck:
     )
 
 
-def build_verify_report() -> VerifyReport:
-    return VerifyReport(checks=(
+def build_verify_report() -> tuple[VerifyCheck, ...]:
+    return (
         _check_pi_fraction(),
         _check_circumference(),
         _check_epoch(),
         _check_sine_table(),
         _check_hierarchy(),
-    ))
+    )
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_pi(args, parser) -> int:
+def cmd_pi(args) -> int:
     if args.correction not in corrections_for(args.series):
-        parser.error("--correction applies to the leibniz series only")
+        args.parser.error("--correction applies to the leibniz series only")
     result = evaluate_digits(args.series, args.terms, args.correction, args.digits)
     value = fd_to_string(result.value)
     bound = None if result.error_bound is None else fd_to_string(result.error_bound)
@@ -207,24 +200,25 @@ def cmd_pi(args, parser) -> int:
     return 0
 
 
-def cmd_verify(args, parser) -> int:
-    report = build_verify_report()
+def cmd_verify(args) -> int:
+    checks = build_verify_report()
+    passed = all(c.passed for c in checks)
     if args.format == "json":
         payload = {
             "checks": [
                 {"name": c.name, "expected": c.expected, "computed": c.computed,
                  "tolerance": c.tolerance, "pass": c.passed}
-                for c in report.checks
+                for c in checks
             ],
-            "overall_pass": report.overall_pass,
+            "overall_pass": passed,
         }
         print(json.dumps(payload, indent=2))
     else:
-        for c in report.checks:
+        for c in checks:
             status = "PASS" if c.passed else "FAIL"
             print(f"[{status}] {c.name}: {c.computed} (expected: {c.expected}; tolerance: {c.tolerance})")
-        print(f"overall: {'PASS' if report.overall_pass else 'FAIL'}")
-    return 0 if report.overall_pass else 1
+        print(f"overall: {'PASS' if passed else 'FAIL'}")
+    return 0 if passed else 1
 
 
 def _converge_rows(series_list, n_max, corrections, scale):
@@ -238,15 +232,15 @@ def _converge_rows(series_list, n_max, corrections, scale):
                 yield f"{series_id},{mode},{n},{fd_to_string(out)},{fd_to_string(err)}"
 
 
-def cmd_converge(args, parser) -> int:
+def cmd_converge(args) -> int:
     series_list = [s.strip() for s in args.series.split(",") if s.strip()]
     if not series_list:
-        parser.error("--series needs at least one series id")
+        args.parser.error("--series needs at least one series id")
     for s in series_list:
         if s not in SERIES_IDS:
-            parser.error(f"unknown series id {s!r}")
+            args.parser.error(f"unknown series id {s!r}")
     if args.n_max < 1:
-        parser.error("--n-max must be >= 1")
+        args.parser.error("--n-max must be >= 1")
     terms = args.n_max * (args.n_max + 1) // 2  # per series and mode: n terms for each n
     if terms > DEFAULT_TERM_CAP:
         raise TermCountError(f"--n-max {args.n_max} sums {terms} terms per series, "
@@ -257,7 +251,7 @@ def cmd_converge(args, parser) -> int:
     return 0
 
 
-def cmd_trig_eval(args, parser) -> int:
+def cmd_trig_eval(args) -> int:
     angle = args.radians if args.degrees is None else theta_t(args.degrees, args.scale)
     terms = args.terms if args.terms else full_domain_terms(args.scale, args.fn)
     fn = {"sin": sin_series, "cos": cos_series, "sinsq": sin_sq_series}[args.fn]
@@ -265,35 +259,36 @@ def cmd_trig_eval(args, parser) -> int:
     return 0
 
 
-def cmd_trig_table(args, parser) -> int:
+def cmd_trig_table(args) -> int:
+    table = build_sine_table(args.scale)  # refuses a scale below 10 before any output
     print("k,degrees,sin")
-    for k, value in build_sine_table(args.scale):
+    for k, value in table:
         print(f"{k},{fd_to_string(table_degrees(k))},{fd_to_string(value)}")
     return 0
 
 
-def cmd_trig_shift(args, parser) -> int:
+def cmd_trig_shift(args) -> int:
     u = theta_t(args.u_degrees, args.scale)
     print(fd_to_string(taylor_shift(u, args.h, args.fn, args.scale)))
     return 0
 
 
-def cmd_trig_addrule(args, parser) -> int:
+def cmd_trig_addrule(args) -> int:
     x = theta_t(args.x_degrees, args.scale)
     y = theta_t(args.y_degrees, args.scale)
     print(fd_to_string(angle_add(x, y, args.rule, args.scale)))
     return 0
 
 
-def cmd_quad_radius(args, parser) -> int:
+def cmd_quad_radius(args) -> int:
     try:
         print(fd_to_string(circumradius(args.sides, args.scale)))
     except ValueError as exc:  # also NotCyclicError
-        parser.error(str(exc))
+        args.parser.error(str(exc))
     return 0
 
 
-def cmd_chrono_check(args, parser) -> int:
+def cmd_chrono_check(args) -> int:
     rep = venvaroha_epoch_check()
     if args.format == "json":
         payload = {
@@ -354,12 +349,12 @@ def _decimal(text: str) -> FixedDec:
         raise argparse.ArgumentTypeError(f"invalid decimal value: {text!r}") from None
 
 
-def _sides(text: str) -> QuadSides:
+def _sides(text: str) -> tuple[FixedDec, ...]:
     """argparse type: four comma-separated decimals."""
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("needs four comma-separated lengths")
-    return QuadSides(*(_decimal(p.strip()) for p in parts))
+    return tuple(_decimal(p.strip()) for p in parts)
 
 
 def _add_scale(p, default=DEFAULT_SCALE):
@@ -368,9 +363,10 @@ def _add_scale(p, default=DEFAULT_SCALE):
 
 
 def _leaf(sub, name: str, run, help: str) -> argparse.ArgumentParser:
-    """A subcommand that main dispatches to run(args, parser)."""
+    """A subcommand that main dispatches to run(args); args.parser is
+    this subcommand's own, so a refusal prints its usage line."""
     p = sub.add_parser(name, help=help)
-    p.set_defaults(run=run)
+    p.set_defaults(run=run, parser=p)
     return p
 
 
@@ -446,7 +442,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser)
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ radius.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .bigfixed import (
     FixedDec,
@@ -39,17 +39,9 @@ class NotCyclicError(ValueError):
     """The four lengths cannot be the sides of a cyclic quadrilateral."""
 
 
-class QuadSides(NamedTuple):
-    """Side lengths in consistent cyclic order."""
-
-    a: FixedDec
-    b: FixedDec
-    c: FixedDec
-    d: FixedDec
-
-
-def circumradius(q: QuadSides, scale: int) -> FixedDec:
-    """Circumradius floored at the given scale.
+def circumradius(q: Sequence[FixedDec], scale: int) -> FixedDec:
+    """Circumradius floored at the given scale, from four side lengths
+    in cyclic order.
 
     Rejects non-positive sides and side sets where any bracket
     (sum of three sides minus the fourth) is at most 10**-scale:
@@ -70,7 +62,8 @@ def circumradius(q: QuadSides, scale: int) -> FixedDec:
     return fd_isqrt(fd_from_ratio(num, den * 10 ** (2 * e), 1, 2 * scale), scale)
 
 
-def circumradius_oracle(angles: Sequence[FixedDec], radius: FixedDec, scale: int) -> QuadSides:
+def circumradius_oracle(angles: Sequence[FixedDec], radius: FixedDec,
+                        scale: int) -> tuple[FixedDec, ...]:
     """Sides of the quadrilateral inscribed at four strictly increasing
     angles (radians, spanning less than a full turn) on a circle of the
     given radius: side_k = 2 R sin(gap_k / 2)."""
@@ -89,6 +82,5 @@ def circumradius_oracle(angles: Sequence[FixedDec], radius: FixedDec, scale: int
     gaps.append(fd_sub(two_pi, fd_sub(pts[3], pts[0])))
     terms = full_domain_terms(ws)
     two_r = fd_mul(fd_rescale(radius, ws), FixedDec.from_int(2))
-    sides = [fd_rescale(fd_mul(two_r, sin_series(fd_divn(g, 2), terms, ws)), scale)
-             for g in gaps]
-    return QuadSides(*sides)
+    return tuple(fd_rescale(fd_mul(two_r, sin_series(fd_divn(g, 2), terms, ws)), scale)
+                 for g in gaps)

@@ -173,35 +173,6 @@ class TermCountError(ValueError):
     """Requested digit count needs more terms than the configured cap."""
 
 
-# NamedTuple bodies may not define __new__, so the subclass below validates
-class _SeriesSpec(NamedTuple):
-    series_id: str
-    terms: int
-    correction: str = NO_CORRECTION
-    scale: int = 20
-
-
-class SeriesSpec(_SeriesSpec):
-    """Selects one pi series evaluation: id, term count, optional
-    end-correction (Leibniz only) and working scale."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.series_id not in SERIES_IDS:
-            raise ValueError(f"unknown series id {self.series_id!r}")
-        if self.terms < 1:
-            raise ValueError("terms must be >= 1")
-        if self.correction not in CORRECTIONS:
-            raise ValueError(f"unknown correction {self.correction!r}")
-        if self.correction not in corrections_for(self.series_id):
-            raise ValueError("corrections apply to the leibniz series only")
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
-        return self
-
-
 class PiResult(NamedTuple):
     value: FixedDec
     error_bound: FixedDec | None
@@ -407,28 +378,16 @@ def pi_reference(scale: int) -> FixedDec:
         digits += GUARD
 
 
-class CircumferenceReport(NamedTuple):
-    madhava: BigNat
-    computed: BigNat
-    delta: int
-
-
-def circumference_check() -> CircumferenceReport:
-    """Recompute the circumference of the diameter-9e11 circle and compare
-    with the attributed 2,827,433,388,233.
+def circumference_check() -> int:
+    """The circumference of the diameter-9e11 circle, recomputed to
+    compare with the attributed 2,827,433,388,233.
 
     The product of pi_reference(20) and the diameter is within 9e11 *
     10**-20, well under one unit, of the true circumference; it is then
     rounded to the nearest integer (half away from zero).
     """
     product = fd_mul(pi_reference(20), FixedDec.from_int(CIRCLE_DIAMETER))
-    computed = fd_round(product, 0).mantissa
-    madhava = BigNat.from_int(MADHAVA_CIRCUMFERENCE)
-    return CircumferenceReport(
-        madhava=madhava,
-        computed=computed,
-        delta=madhava.to_int() - computed.to_int(),
-    )
+    return fd_round(product, 0).mantissa.to_int()
 
 
 # ---------------------------------------------------------------------------
@@ -483,27 +442,37 @@ def error_bound(series_id: str, n: int, scale: int, correction: str = NO_CORRECT
     return fd_add(analytic, FixedDec(1, n + 4, scale))
 
 
-def evaluate(spec: SeriesSpec) -> PiResult:
-    """Evaluate a SeriesSpec at its working scale.  Deterministic: equal
-    specs give bit-identical results."""
-    if spec.series_id == LEIBNIZ:
-        if spec.correction == NO_CORRECTION:
-            value = leibniz_partial(spec.terms, spec.scale)
+def evaluate(series_id: str, terms: int, correction: str, scale: int) -> PiResult:
+    """One series, with its end-correction (Leibniz only), summed over
+    terms at the working scale.  Deterministic: equal arguments give
+    bit-identical results."""
+    if series_id not in SERIES_IDS:
+        raise ValueError(f"unknown series id {series_id!r}")
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    if correction not in CORRECTIONS:
+        raise ValueError(f"unknown correction {correction!r}")
+    if correction not in corrections_for(series_id):
+        raise ValueError("corrections apply to the leibniz series only")
+    if scale < 1:
+        raise ValueError("scale must be >= 1")
+    if series_id == LEIBNIZ:
+        if correction == NO_CORRECTION:
+            value = leibniz_partial(terms, scale)
         else:
-            value = leibniz_corrected(spec.terms, spec.correction, spec.scale)
-    elif spec.series_id == SQRT12:
-        value = pi_sqrt12(spec.terms, spec.scale)
+            value = leibniz_corrected(terms, correction, scale)
+    elif series_id == SQRT12:
+        value = pi_sqrt12(terms, scale)
     else:
-        value = aux_series(spec.series_id, spec.terms, spec.scale)
-    bound = error_bound(spec.series_id, spec.terms, spec.scale, spec.correction)
-    return PiResult(value=value, error_bound=bound)
+        value = aux_series(series_id, terms, scale)
+    return PiResult(value=value, error_bound=error_bound(series_id, terms, scale, correction))
 
 
 def evaluate_digits(series_id: str, terms: int, correction: str, digits: int) -> PiResult:
     """The printed convention in one place: evaluate at digits +
     BOUND_DIGITS and truncate the value to digits; the bound stays at
     that scale, as ``pi`` prints it."""
-    result = evaluate(SeriesSpec(series_id, terms, correction, digits + BOUND_DIGITS))
+    result = evaluate(series_id, terms, correction, digits + BOUND_DIGITS)
     return result._replace(value=fd_rescale(result.value, digits))
 
 

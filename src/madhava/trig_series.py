@@ -14,11 +14,11 @@ floored at scale + ANGLE_DIGITS, with pi floored at
 scale + 2*ANGLE_DIGITS.  The pi/2 limit of the shift formulas and
 addition rules is theta_t of 90 degrees, and the series' pi limit is pi
 floored at scale + ANGLE_DIGITS.  ANGLE_DIGITS is part of what the CLI
-prints.  The series contracts hold for |theta| <= pi; use reduce_angle
-first for anything wider.  full_domain_terms(digits, fn) is the term
-count for that domain; the cosine sums one term more than the sine,
-and so does every sine-cosine pair of one angle, which _sin_cos gives
-the sine table, the shift formulas and the addition rules.
+prints.  The series contracts hold for |theta| <= pi.
+full_domain_terms(digits, fn) is the term count for that domain; the
+cosine sums one term more than the sine, and so does every sine-cosine
+pair of one angle, which _sin_cos gives the sine table, the shift
+formulas and the addition rules.
 
 The sine table runs the second-difference rule s_{k+1} = 2 cos(h) s_k -
 s_{k-1} over h = 3.75 degrees from one sin h and one cos h.  Where
@@ -28,10 +28,10 @@ the bound clears it, so the table prints the same digits for any
 GUARD >= 1.
 
 Every public operation takes a target scale and truncates its result to
-it.  GUARD says only where the kernels start: the series and
-reduce_angle work at scale + GUARD, and the sine table, the shift
-formulas and the addition rules work at scale + GUARD and ask the series
-for that scale, so their series run at scale + 2*GUARD.  The one
+it.  GUARD says only where the kernels start: the series work at
+scale + GUARD, and the sine table, the shift formulas and the addition
+rules work at scale + GUARD and ask the series for that scale, so their
+series run at scale + 2*GUARD.  The one
 exception to truncate-everywhere is the final quantization of sine-table
 entries, which rounds half-away so that exact values (sin 30 = 0.5,
 sin 90 = 1) survive at table scale.
@@ -315,15 +315,3 @@ def angle_add(x: FixedDec, y: FixedDec, which: str, scale: int) -> FixedDec:
     out = fd_add(first, second if which in (SIN_SUM, COS_DIFF) else -second)
     return fd_rescale(out, scale)
 
-
-def reduce_angle(theta: FixedDec, scale: int) -> FixedDec:
-    """Bring an angle into [-pi, pi] by subtracting whole turns."""
-    ws = scale + GUARD
-    pi = pi_reference(ws)
-    two_pi = fd_mul(pi, FixedDec.from_int(2))
-    t = fd_rescale(theta, ws)
-    shifted = fd_add(t, pi)
-    # floor((t + pi) / 2pi): both mantissas sit at ws and 2pi is positive
-    k = shifted.sign * shifted.mantissa.to_int() // two_pi.mantissa.to_int()
-    out = fd_sub(t, fd_mul(FixedDec.from_int(k), two_pi))
-    return fd_rescale(out, scale)

@@ -37,6 +37,7 @@ TRIG_ORACLE = "tests/test_trig_oracle.py"
 CLI = "tests/test_cli.py"
 GEOMETRY = "tests/test_geometry.py"
 GUARD = "tests/test_guard.py"
+CHRONOLOGY = "tests/test_chronology.py"
 
 
 class Mutant(NamedTuple):
@@ -88,18 +89,18 @@ MUTANTS = (
            "acc = fd_add(acc, -term if k % 2 else term)",
            "acc = fd_add(acc, term if k % 2 else -term)", (PI_SERIES,)),
     Mutant("evaluate-digits-no-guard", "pi_series.py",
-           "evaluate(SeriesSpec(series_id, terms, correction, digits + BOUND_DIGITS))",
-           "evaluate(SeriesSpec(series_id, terms, correction, digits))", (PI_SERIES,)),
+           "evaluate(series_id, terms, correction, digits + BOUND_DIGITS)",
+           "evaluate(series_id, terms, correction, digits)", (PI_SERIES,)),
+    Mutant("evaluate-admits-any-correction", "pi_series.py",
+           "    if correction not in corrections_for(series_id):\n"
+           "        raise ValueError(\"corrections apply to the leibniz series only\")\n",
+           "", (PI_SERIES,)),
     Mutant("corrections-for-every-series", "pi_series.py",
            "return CORRECTIONS if series_id == LEIBNIZ else (NO_CORRECTION,)",
            "return CORRECTIONS", (PI_SERIES, CLI)),
     # trig
     Mutant("domain-slack-narrowed", "trig_series.py",
            "slack = FixedDec(1, 2, limit.scale)", "slack = FixedDec(1, 1, limit.scale)", (TRIG,)),
-    Mutant("reduce-angle-truncates", "trig_series.py",
-           "k = shifted.sign * shifted.mantissa.to_int() // two_pi.mantissa.to_int()",
-           "k = shifted.sign * (shifted.mantissa.to_int() // two_pi.mantissa.to_int())",
-           (TRIG,)),
     Mutant("for-scale-no-guard", "trig_series.py",
            "ws = scale + ANGLE_DIGITS", "ws = scale", (TRIG,)),
     Mutant("recurrence-factor-one", "trig_series.py",
@@ -127,9 +128,15 @@ MUTANTS = (
            "den * 10 ** (2 * e)", "den * 10**e", (GEOMETRY,)),
     Mutant("zero-side-admitted", "geometry.py",
            "if any(s <= 0 for s in sides):", "if any(s < 0 for s in sides):", (GEOMETRY,)),
+    # chronology
+    Mutant("kali-day-admits-negative", "chronology.py",
+           "if kali_day.sign < 0:", "if False:", (CHRONOLOGY,)),
     # command line
     Mutant("converge-cap-raised", "cli.py",
            "if terms > DEFAULT_TERM_CAP:", "if terms > DEFAULT_TERM_CAP + 1000:", (CLI,)),
+    Mutant("verify-passes-if-any", "cli.py",
+           "passed = all(c.passed for c in checks)", "passed = any(c.passed for c in checks)",
+           (CLI,)),
     Mutant("verify-angle-narrowed", "cli.py",
            "theta_t(table_degrees(k), 20)", "theta_t(table_degrees(k), 10)", (TRIG_ORACLE,)),
 )

@@ -24,9 +24,6 @@ from madhava.bigfixed import (
     fd_round,
     fd_sub,
     fd_to_string,
-    nat_add,
-    nat_divrem,
-    nat_mul,
     settled,
 )
 from conftest import as_fraction
@@ -51,28 +48,28 @@ def assert_canonical(x: FixedDec):
 
 class TestBigNatRing:
     def test_identity_and_carry(self):
-        assert nat_add(BigNat.from_int(0), BigNat.from_int(0)).to_int() == 0
-        assert nat_add(BigNat.from_int(999_999_999_999), BigNat.from_int(1)).to_int() == 10**12
-        assert nat_add(BigNat.from_int(2_827_433_388_231), BigNat.from_int(2)).to_int() == 2_827_433_388_233
+        assert (BigNat.from_int(0) + BigNat.from_int(0)).to_int() == 0
+        assert (BigNat.from_int(999_999_999_999) + BigNat.from_int(1)).to_int() == 10**12
+        assert (BigNat.from_int(2_827_433_388_231) + BigNat.from_int(2)).to_int() == 2_827_433_388_233
 
     def test_mul_examples(self):
-        assert nat_mul(BigNat.from_int(0), BigNat.from_int(12345)).to_int() == 0
-        assert nat_mul(BigNat.from_int(10**6), BigNat.from_int(10**6)).to_int() == 10**12
-        assert nat_mul(BigNat.from_int(3141592653589793), BigNat.from_int(9)).to_int() == 28274333882308137
+        assert (BigNat.from_int(0) * BigNat.from_int(12345)).to_int() == 0
+        assert (BigNat.from_int(10**6) * BigNat.from_int(10**6)).to_int() == 10**12
+        assert (BigNat.from_int(3141592653589793) * BigNat.from_int(9)).to_int() == 28274333882308137
 
     def test_divrem_examples(self):
-        q, r = nat_divrem(BigNat.from_int(7), BigNat.from_int(3))
+        q, r = divmod(BigNat.from_int(7), BigNat.from_int(3))
         assert (q.to_int(), r.to_int()) == (2, 1)
         a = BigNat.from_int(987654321987654321)
-        q, r = nat_divrem(a, BigNat.from_int(1))
+        q, r = divmod(a, BigNat.from_int(1))
         assert (q.to_int(), r.to_int()) == (a.to_int(), 0)
-        q, r = nat_divrem(BigNat.from_int(2_827_433_388_233 * 10**13),
-                          BigNat.from_int(9 * 10**11))
+        q, r = divmod(BigNat.from_int(2_827_433_388_233 * 10**13),
+                      BigNat.from_int(9 * 10**11))
         assert str(q).startswith("31415926535922")
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            nat_divrem(BigNat.from_int(1), BigNat.from_int(0))
+            divmod(BigNat.from_int(1), BigNat.from_int(0))
 
     def test_ring_axioms_randomized(self):
         rng = random.Random(0xC0FFEE)
@@ -87,7 +84,7 @@ class TestBigNatRing:
             assert ((A * B) * C == A * (B * C))
             assert (A * (B + C) == A * B + A * C)
             if b:
-                q, r = nat_divrem(A, B)
+                q, r = divmod(A, B)
                 assert q * B + r == A
                 assert r.to_int() < b
 
@@ -97,7 +94,7 @@ class TestBigNatRing:
             nb = rng.randrange(1, 6)
             b = rng.randrange(BASE ** (nb - 1), BASE**nb) if nb > 1 else rng.randrange(1, BASE)
             a = rng.randrange(0, b * BASE ** rng.randrange(0, 4) + 1)
-            q, r = nat_divrem(BigNat.from_int(a), BigNat.from_int(b))
+            q, r = divmod(BigNat.from_int(a), BigNat.from_int(b))
             assert (q.to_int(), r.to_int()) == divmod(a, b)
 
     def test_divrem_addback_branch(self):
@@ -106,7 +103,7 @@ class TestBigNatRing:
         half = BASE // 2
         a = (half - 1) * BASE**3 + half * BASE**2
         b = half * BASE**2 + 1
-        q, r = nat_divrem(BigNat.from_int(a), BigNat.from_int(b))
+        q, r = divmod(BigNat.from_int(a), BigNat.from_int(b))
         assert (q.to_int(), r.to_int()) == divmod(a, b)
 
     def test_refusals(self):

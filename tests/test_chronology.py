@@ -8,7 +8,6 @@ from madhava.bigfixed import FixedDec, fd_from_string, fd_to_string
 from madhava.chronology import (
     ANOMALISTIC_MONTH_DAYS,
     KALI_EPOCH_JD,
-    KaliInstant,
     date_to_jd,
     jd_to_date,
     kali_to_julian_day,
@@ -16,24 +15,27 @@ from madhava.chronology import (
 )
 
 
-def kali(s):
-    return KaliInstant(fd_from_string(s))
-
-
 class TestKaliToJd:
     def test_epoch(self):
-        assert fd_to_string(kali_to_julian_day(kali("0"))) == "588465.5"
+        assert fd_to_string(kali_to_julian_day(fd_from_string("0"))) == "588465.5"
 
     def test_one_day(self):
-        assert fd_to_string(kali_to_julian_day(kali("1"))) == "588466.5"
+        assert fd_to_string(kali_to_julian_day(fd_from_string("1"))) == "588466.5"
 
     def test_fractional(self):
-        jd = kali_to_julian_day(kali("1644740.7"))
+        jd = kali_to_julian_day(fd_from_string("1644740.7"))
         assert fd_to_string(jd) == "2233206.2"
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            kali("-1")
+        for negative in (fd_from_string("-1"), fd_from_string("-0.5")):
+            with pytest.raises(ValueError, match="kali_day must be non-negative"):
+                kali_to_julian_day(negative)
+            with pytest.raises(ValueError, match="kali_day must be non-negative"):
+                kali_to_julian_day(kali_day=negative)
+
+    def test_negative_zero_admitted(self):
+        assert (kali_to_julian_day(fd_from_string("-0.0"))
+                == kali_to_julian_day(kali_day=FixedDec.from_int(0, 1)))
 
 
 class TestJdToDate:

@@ -64,6 +64,17 @@ class TestPiCommand:
             main(["pi", "--series", "aux-a", "--terms", "5", "--correction", "f1"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, usage", [
+        (("pi", "--series", "aux-a", "--terms", "5", "--correction", "f1"), "usage: madhava pi "),
+        (("converge", "--series", "machin", "--n-max", "3"), "usage: madhava converge "),
+        (("quad", "radius", "--sides", "1,2,3,10"), "usage: madhava quad radius "),
+    ])
+    def test_handler_refusal_prints_its_subcommand_usage(self, argv, usage):
+        proc = run_subprocess(*argv)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode().startswith(usage)
+
     def test_bad_terms_is_usage_error(self, capsys):
         # a count above the term cap is refused before any summing
         for terms in ("0", "1000001", "1000000000"):
@@ -91,10 +102,22 @@ class TestVerifyCommand:
             assert set(check) == {"name", "expected", "computed", "tolerance", "pass"}
             assert check["pass"] is True
 
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_one_failed_check_fails_overall(self, fmt, capsys, monkeypatch):
+        checks = (cli.VerifyCheck("good", "1", "1", "exact", True),
+                  cli.VerifyCheck("bad", "1", "2", "exact", False))
+        monkeypatch.setattr(cli, "build_verify_report", lambda: checks)
+        code, out = run_cli(capsys, "verify", "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            assert json.loads(out)["overall_pass"] is False
+        else:
+            assert out.splitlines()[-1] == "overall: FAIL"
+
     def test_report_object(self):
-        report = build_verify_report()
-        assert report.overall_pass
-        names = [c.name for c in report.checks]
+        checks = build_verify_report()
+        assert all(c.passed for c in checks)
+        names = [c.name for c in checks]
         assert names == ["madhava_pi_10_decimals", "circumference_delta",
                          "venvaroha_epoch", "sine_table_8_digits", "correction_hierarchy"]
 
@@ -216,6 +239,13 @@ class TestTrigCommands:
         code, out = run_cli(capsys, "trig", "addrule", "--rule", "sin-sum",
                             "--x-degrees", "30", "--y-degrees", "15", "--scale", "12")
         assert out.strip().startswith("0.70710678118")
+
+    @pytest.mark.parametrize("scale", ("0", "9"))
+    def test_table_below_scale_ten_refused_before_any_output(self, scale, capsys):
+        assert main(["trig", "table", "--scale", scale]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: sine table needs scale >= 10\n"
 
     def test_domain_error_exit_code(self, capsys):
         code = main(["trig", "eval", "--fn", "sin", "--radians", "3.2", "--scale", "10"])

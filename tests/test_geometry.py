@@ -17,7 +17,7 @@ from madhava.bigfixed import (
     fd_to_string,
 )
 from madhava.cli import main
-from madhava.geometry import NotCyclicError, QuadSides, circumradius, circumradius_oracle
+from madhava.geometry import NotCyclicError, circumradius, circumradius_oracle
 from conftest import as_fraction
 
 
@@ -26,7 +26,7 @@ def fd(s):
 
 
 def quad(*sides):
-    return QuadSides(*[fd(s) for s in sides])
+    return tuple(fd(s) for s in sides)
 
 
 def random_angles(rng, scale=6):
@@ -71,8 +71,7 @@ class TestCircumradius:
         doubled = quad("4", "6", "5", "7")
         r2 = as_fraction(circumradius(doubled, 16))
         assert abs(r2 - 2 * r) <= Fraction(10, 10**16)
-        third = QuadSides(*[fd_mul(s, fd("0.333333333333333333"))
-                            for s in base])
+        third = tuple(fd_mul(s, fd("0.333333333333333333")) for s in base)
         r3 = as_fraction(circumradius(third, 16))
         assert abs(r3 - r / 3) <= Fraction(10, 10**12)
 

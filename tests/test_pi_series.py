@@ -6,6 +6,7 @@ semantics (each reciprocal floored at the working scale) re-modelled in
 plain ints.
 """
 
+import random
 from fractions import Fraction
 from math import isqrt
 
@@ -24,12 +25,12 @@ from madhava.pi_series import (
     F2,
     F3,
     LEIBNIZ,
+    MADHAVA_CIRCUMFERENCE,
     NO_CORRECTION,
     SERIES,
     SERIES_IDS,
     SQRT12,
     SeriesDef,
-    SeriesSpec,
     _partial_sum,
     _running_sums,
     TermCountError,
@@ -351,10 +352,10 @@ class TestMadhavaFraction:
 
 class TestCircumference:
     def test_report(self):
-        rep = circumference_check()
-        assert rep.madhava.to_int() == 2_827_433_388_233
-        assert rep.computed.to_int() == 2_827_433_388_231
-        assert rep.delta == 2
+        computed = circumference_check()
+        assert MADHAVA_CIRCUMFERENCE == 2_827_433_388_233
+        assert computed == 2_827_433_388_231
+        assert MADHAVA_CIRCUMFERENCE - computed == 2
 
     def test_takes_no_scale(self):
         with pytest.raises(TypeError):
@@ -456,36 +457,41 @@ class TestInvariants:
     def test_error_bound_invariant(self):
         # |value - pi_ref| <= bound + 10 ulp for every series
         scale = 25
-        specs = [
-            SeriesSpec(LEIBNIZ, 30, scale=scale),
-            SeriesSpec(AUX_A, 12, scale=scale),
-            SeriesSpec(AUX_B, 40, scale=scale),
-            SeriesSpec(AUX_C, 6, scale=scale),
-            SeriesSpec(AUX_D, 25, scale=scale),
-            SeriesSpec(SQRT12, 10, scale=scale),
-        ]
-        for spec in specs:
-            res = evaluate(spec)
+        specs = [(LEIBNIZ, 30), (AUX_A, 12), (AUX_B, 40), (AUX_C, 6), (AUX_D, 25), (SQRT12, 10)]
+        for series_id, terms in specs:
+            res = evaluate(series_id, terms, NO_CORRECTION, scale)
             assert res.error_bound is not None
             assert abs(as_fraction(res.value) - PI_50) <= as_fraction(res.error_bound) + 10 * ulp(scale)
 
     def test_corrected_has_no_bound(self):
-        res = evaluate(SeriesSpec(LEIBNIZ, 10, F3, 20))
+        res = evaluate(LEIBNIZ, 10, F3, 20)
         assert res.error_bound is None
 
     def test_determinism(self):
-        spec = SeriesSpec(SQRT12, 22, scale=25)
-        a, b = evaluate(spec), evaluate(spec)
+        a, b = evaluate(SQRT12, 22, NO_CORRECTION, 25), evaluate(SQRT12, 22, NO_CORRECTION, 25)
         assert fd_to_string(a.value) == fd_to_string(b.value)
         assert a.value.scale == b.value.scale
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SeriesSpec(AUX_A, 5, F1, 20)
-        with pytest.raises(ValueError):
-            SeriesSpec(LEIBNIZ, 0)
-        with pytest.raises(ValueError):
-            SeriesSpec("machin", 5)
+    # each refusal is the first of the five checks that its arguments
+    # fail, in the order evaluate makes them
+    @pytest.mark.parametrize("args, kwargs, message", [
+        (("machin", 5, "none", 20), {}, "unknown series id 'machin'"),
+        ((), {"series_id": "machin", "terms": 0, "correction": "f4", "scale": 0},
+         "unknown series id 'machin'"),
+        (("leibniz", 0, "none", 20), {}, "terms must be >= 1"),
+        (("leibniz", 0, "f4", 0), {}, "terms must be >= 1"),
+        (("aux-a", 5, "f1", 20), {}, "corrections apply to the leibniz series only"),
+        (("aux-a", 5), {"correction": "f1", "scale": 0}, "corrections apply to the leibniz series only"),
+        (("leibniz", 5, "f4", 20), {}, "unknown correction 'f4'"),
+        (("aux-a", 5, "f4", 0), {}, "unknown correction 'f4'"),
+        (("leibniz", 5, "none", 0), {}, "scale must be >= 1"),
+        ((), {"series_id": "leibniz", "terms": 5, "correction": "none", "scale": 0},
+         "scale must be >= 1"),
+    ])
+    def test_evaluate_refuses(self, args, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            evaluate(*args, **kwargs)
+        assert str(exc.value) == message
 
 
 class TestPiReference:
@@ -551,6 +557,24 @@ class TestPiReference:
             assert abs(as_fraction(v) - pi_ref) < Fraction(1, 10**8)
 
 
+# pi ~ multiplier * (lead + sum_k term(k)), the square root of the
+# multiplier for sqrt12; every partial sum here is positive, so int()
+# floors it
+EXACT_SERIES = {
+    LEIBNIZ: (4, Fraction(0), lambda k: Fraction((-1) ** (k - 1), 2 * k - 1)),
+    AUX_A: (4, Fraction(3, 4), lambda k: Fraction((-1) ** (k - 1), (2 * k + 1) ** 3 - (2 * k + 1))),
+    AUX_B: (8, Fraction(0), lambda k: Fraction(1, (4 * k - 2) ** 2 - 1)),
+    AUX_C: (4, Fraction(0), lambda k: Fraction(4 * (-1) ** (k - 1), (2 * k - 1) ** 5 + 4 * (2 * k - 1))),
+    AUX_D: (4, Fraction(1, 2), lambda k: Fraction((-1) ** (k - 1), (2 * k) ** 2 - 1)),
+    SQRT12: (12, Fraction(0), lambda k: Fraction((-1) ** (k - 1), (2 * k - 1) * 3 ** (k - 1))),
+}
+EXACT_CORRECTIONS = {
+    F1: lambda n: Fraction(1, 4 * n),
+    F2: lambda n: Fraction(n, 4 * n * n + 1),
+    F3: lambda n: Fraction(n * n + 1, n * (4 * n * n + 5)),
+}
+
+
 class TestEvaluateDigits:
     @pytest.mark.parametrize("series_id, correction", [
         *((series_id, NO_CORRECTION) for series_id in SERIES_IDS),
@@ -561,7 +585,34 @@ class TestEvaluateDigits:
             return None if x is None else (x.sign, x.mantissa.to_int(), x.scale)
 
         for n in (1, 2, 17, 60):
-            want = evaluate(SeriesSpec(series_id, n, correction, digits + BOUND_DIGITS))
+            want = evaluate(series_id, n, correction, digits + BOUND_DIGITS)
             got = evaluate_digits(series_id, n, correction, digits)
             assert bits(got.value) == bits(fd_rescale(want.value, digits))
             assert bits(got.error_bound) == bits(want.error_bound)
+
+    @pytest.mark.parametrize("series_id, correction", [
+        *((series_id, NO_CORRECTION) for series_id in SERIES_IDS),
+        *((LEIBNIZ, correction) for correction in (F1, F2, F3))])
+    @pytest.mark.parametrize("digits", (1, 12, 40))
+    def test_value_is_the_exact_floor(self, series_id, correction, digits):
+        # the printed value is floor(multiplier * S * 10**digits) for the
+        # exact Fraction partial sum S (plus the signed correction); the
+        # terms are restated here from the series definitions
+        multiplier, lead, term = EXACT_SERIES[series_id]
+        rng = random.Random(10)
+        ns = sorted({1, 2, 3, 200, *(rng.randint(1, 200) for _ in range(12))})
+        exact, k = lead, 0
+        for n in ns:
+            while k < n:
+                k += 1
+                exact += term(k)
+            s = exact
+            if correction != NO_CORRECTION:
+                s += (-1) ** n * EXACT_CORRECTIONS[correction](n)
+            if series_id == SQRT12:
+                want = isqrt(int(multiplier * s * s * 10 ** (2 * digits)))
+            else:
+                want = int(multiplier * s * 10**digits)
+            got = evaluate_digits(series_id, n, correction, digits).value
+            assert (got.sign, got.mantissa.to_int(), got.scale) == (1, want, digits), n
+

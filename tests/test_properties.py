@@ -10,8 +10,7 @@ import pytest
 
 from madhava.bigfixed import BigNat, FixedDec
 from madhava.geometry import circumradius, circumradius_oracle
-from madhava.trig_series import reduce_angle
-from conftest import PI_50, as_fraction
+from conftest import as_fraction
 
 hypothesis = pytest.importorskip("hypothesis")
 given, st = hypothesis.given, hypothesis.strategies
@@ -20,19 +19,6 @@ PROPERTY = hypothesis.settings(derandomize=True, database=None, max_examples=100
 
 def fixed(mantissa: int, scale: int) -> FixedDec:
     return FixedDec(-1 if mantissa < 0 else 1, BigNat.from_int(abs(mantissa)), scale)
-
-
-@PROPERTY
-@given(scale=st.integers(1, 30), data=st.data())
-def test_reduce_angle_lands_in_range_by_whole_turns(scale, data):
-    # |theta| < 100 radians: up to 16 turns away from [-pi, pi]
-    mantissa = data.draw(st.integers(-100 * 10**scale, 100 * 10**scale))
-    theta = fixed(mantissa, scale)
-    reduced = as_fraction(reduce_angle(theta, scale))
-    slack = 5 * Fraction(1, 10**scale)
-    assert abs(reduced) <= PI_50 + slack
-    turns = (as_fraction(theta) - reduced) / (2 * PI_50)
-    assert abs(as_fraction(theta) - reduced - round(turns) * 2 * PI_50) <= slack
 
 
 # four strictly increasing angles in [0, 2*pi) as millionths of a radian,

@@ -3,7 +3,7 @@ shift-formula error order, angle-addition identities."""
 
 import random
 from fractions import Fraction
-from math import factorial, floor
+from math import factorial
 
 import pytest
 
@@ -19,7 +19,7 @@ from madhava.bigfixed import (
     fd_sub,
     fd_to_string,
 )
-from madhava.pi_series import GUARD, pi_reference
+from madhava.pi_series import pi_reference
 from madhava.trig_series import (
     _sin_cos,
     ANGLE_DIGITS,
@@ -37,7 +37,6 @@ from madhava.trig_series import (
     cos_series,
     full_domain_terms,
     nested_eval,
-    reduce_angle,
     sin_series,
     sin_sq_series,
     sin_terms_for,
@@ -403,46 +402,6 @@ class TestDomainSlack:
                 else:
                     with pytest.raises(ValueError):
                         call()
-
-
-class TestReduceAngle:
-    def test_round_trips(self):
-        rng = random.Random(808)
-        scale = 20
-        pi = pi_reference(scale)
-        two_pi = fd_mul(pi, FixedDec.from_int(2))
-        for _ in range(40):
-            theta = rand_angle(rng, scale, 3141)
-            if rng.random() < 0.5:
-                theta = -theta
-            k = rng.randrange(-3, 4)
-            shifted = fd_add(fd_rescale(theta, scale),
-                             fd_mul(FixedDec.from_int(k), two_pi))
-            reduced = reduce_angle(shifted, scale)
-            assert abs(as_fraction(reduced) - as_fraction(theta)) <= 5 * ulp(scale)
-            assert abs(as_fraction(reduced)) <= as_fraction(pi) + 5 * ulp(scale)
-
-    def test_within_range_is_stable(self):
-        v = reduce_angle(fd_from_string("1.5"), 15)
-        assert fd_to_string(v) == "1.500000000000000"
-
-    @pytest.mark.parametrize("scale", (0, 3, 20, 41))
-    def test_odd_multiples_of_pi_and_their_neighbours(self, scale):
-        # t = (2j + 1) * pi at the working scale, and one ulp to either
-        # side: the turn count k = floor((t + pi) / 2pi) flips right there
-        ws = scale + GUARD
-        pi_m = pi_reference(ws).mantissa.to_int()
-        pi = Fraction(pi_m, 10**ws)
-        for j in (-40, -3, -2, -1, 0, 1, 2, 39):
-            for offset in (-1, 0, 1):
-                m = (2 * j + 1) * pi_m + offset
-                t = Fraction(m, 10**ws)
-                theta = FixedDec(1 if m >= 0 else -1, BigNat.from_int(abs(m)), ws)
-                k = floor((t + pi) / (2 * pi))
-                expected = Fraction(int((t - 2 * pi * k) * 10**scale), 10**scale)
-                got = reduce_angle(theta, scale)
-                assert got.scale == scale
-                assert as_fraction(got) == expected, (j, offset)
 
 
 class TestAngleConstruction:
