@@ -89,11 +89,6 @@ def jd_to_date(jd: FixedDec) -> CalendarDate:
     return CalendarDate(year=year, month=month, day=day)
 
 
-def date_to_jd(date: CalendarDate) -> FixedDec:
-    """Noon JD of a Julian-calendar date (inverse of jd_to_date)."""
-    return FixedDec.from_int(_julian_to_jdn(date.year, date.month, date.day), 1)
-
-
 class EpochReport(NamedTuple):
     jd: FixedDec
     date: CalendarDate

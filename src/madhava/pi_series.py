@@ -9,13 +9,9 @@ Series implemented (full-pi normalization in all return values):
 * ``aux-d``     4 * (1/2 + 1/(2^2-1) - 1/(4^2-1) + 1/(6^2-1) - ...)
 * ``sqrt12``    sqrt(12) * (1 - 1/(3*3) + 1/(5*3^2) - 1/(7*3^3) + ...)
 
-plus the arctangent power series (x - x^3/3 + x^5/5 - ...) from which the
-sqrt12 form arises at x = 1/sqrt(3), the end-correction terms F1, F2, F3
-appended after n Leibniz terms, the classical 13-digit fraction
-2,827,433,388,233 / 9e11, and the circumference cross-check for a circle
-of diameter 9e11.  The arctangent is summed by ``odd_power_series``, the
-one term-by-term loop over alternating odd powers; the sine series is
-the same loop with factorial denominators.
+plus the end-correction terms F1, F2, F3 appended after n Leibniz terms,
+the classical 13-digit fraction 2,827,433,388,233 / 9e11, and the
+circumference cross-check for a circle of diameter 9e11.
 
 Each series is one ``SeriesDef`` entry in ``SERIES`` (a constant
 numerator, the k-th denominator, an optional geometric ratio,
@@ -296,34 +292,6 @@ def aux_series(series_id: str, n: int, scale: int) -> FixedDec:
     if series_id not in (AUX_A, AUX_B, AUX_C, AUX_D):
         raise ValueError(f"not an auxiliary series id: {series_id!r}")
     return _series_value(SERIES[series_id], n, scale)
-
-
-def arctan_series(x: FixedDec, n: int, scale: int) -> FixedDec:
-    """n-term arctangent series x - x^3/3 + x^5/5 - ...
-
-    Requires |x| <= 1 (the series diverges beyond).  For |x| < 1 the
-    analytic error is within |x|**(2n+1) / (2n+1).
-    """
-    _check_terms(n)
-    if abs(x) > FixedDec.from_int(1, x.scale):
-        raise ValueError("arctan series needs |x| <= 1")
-    return odd_power_series(x, n, scale, lambda k: 2 * k + 1)
-
-
-def odd_power_series(x: FixedDec, terms: int, scale: int, den: Callable[[int], int]) -> FixedDec:
-    """sum_{k < terms} (-1)**k * x**(2k+1) / den(k), term by term, each
-    power and each quotient truncated at scale: the arctangent series
-    with den(k) = 2k+1, the sine series with den(k) = (2k+1)!."""
-    xw = fd_rescale(x, scale)
-    x2 = fd_mul(xw, xw)
-    acc = FixedDec.from_int(0, scale)
-    power = xw
-    for k in range(terms):
-        term = fd_divn(power, den(k))
-        acc = fd_add(acc, -term if k % 2 else term)
-        if k + 1 < terms:
-            power = fd_mul(power, x2)
-    return acc
 
 
 def pi_sqrt12(n: int, scale: int) -> FixedDec:

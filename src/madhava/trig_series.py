@@ -146,7 +146,7 @@ def _power_series(purpose: str, theta: FixedDec, terms: int, scale: int) -> Fixe
 
 def sin_series(theta: FixedDec, terms: int, scale: int) -> FixedDec:
     """Partial sum theta - theta^3/3! + theta^5/5! - ... via nested
-    evaluation.  Requires |theta| <= pi (reduce first)."""
+    evaluation.  Requires |theta| <= pi."""
     return _power_series(SIN, theta, terms, scale)
 
 

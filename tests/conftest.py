@@ -112,3 +112,29 @@ def sin_round(theta: Fraction, scale: int, guard: int = 30) -> int:
     low, high = (lo + half) // 10**guard, (hi + half) // 10**guard
     assert low == high, f"{guard} guard digits do not settle sin at scale {scale}"
     return low
+
+
+def inscribed_sides(angles: list[FixedDec], radius: FixedDec, scale: int) -> tuple[FixedDec, ...]:
+    """Sides of the quadrilateral inscribed at four increasing angles
+    (radians, spanning less than a full turn) on a circle of the given
+    radius, each 2R sin(gap / 2) floored at scale; the last gap is
+    2 pi - (t3 - t0).
+
+    Plain integers throughout: pi is machin_pi_floor at scale + 30 and
+    each sine is a taylor_bracket there, widened by one unit for pi's
+    floor (sin is 1-Lipschitz).  Like trig_floor, a side is returned only
+    when its whole bracket settles the floor.
+    """
+    guard = 30
+    work = scale + guard
+    t = [as_fraction(a) for a in angles]
+    two_r = 2 * as_fraction(radius)
+    pi = Fraction(machin_pi_floor(work), 10**work)
+    halves = [(b - a) / 2 for a, b in zip(t, t[1:])] + [pi - (t[3] - t[0]) / 2]
+    sides = []
+    for half in halves:
+        lo, hi = taylor_bracket(half, "sin", work)
+        low, high = two_r * (lo - 1) // 10**guard, two_r * (hi + 1) // 10**guard
+        assert low == high, f"{guard} guard digits do not settle a side at scale {scale}"
+        sides.append(FixedDec(1, low, scale))
+    return tuple(sides)

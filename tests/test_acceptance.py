@@ -36,7 +36,7 @@ from madhava.bigfixed import (
 )
 from madhava.chronology import venvaroha_epoch_check
 from madhava.cli import main as cli_main
-from madhava.geometry import circumradius, circumradius_oracle
+from madhava.geometry import circumradius
 from madhava.pi_series import (
     AUX_A,
     AUX_B,
@@ -72,7 +72,7 @@ from madhava.trig_series import (
     taylor_shift,
     theta_t,
 )
-from conftest import PI_50, as_fraction
+from conftest import PI_50, as_fraction, inscribed_sides
 
 from math import factorial
 
@@ -244,7 +244,7 @@ def test_criterion_7_geometry_oracle():
         if min(gaps) < 60_000:
             continue
         angles = [FixedDec(1, BigNat.from_int(v), 6) for v in raw]
-        q = circumradius_oracle(angles, radius, 20)
+        q = inscribed_sides(angles, radius, 20)
         recovered = circumradius(q, scale)
         assert abs(as_fraction(recovered) - target) < tol
         tested += 1

@@ -8,7 +8,6 @@ from madhava.bigfixed import FixedDec, fd_from_string, fd_to_string
 from madhava.chronology import (
     ANOMALISTIC_MONTH_DAYS,
     KALI_EPOCH_JD,
-    date_to_jd,
     jd_to_date,
     kali_to_julian_day,
     venvaroha_epoch_check,
@@ -72,14 +71,26 @@ class TestJdToDate:
             jd_to_date(fd_from_string("0"))
 
 
+# days before the first of each month in a common year
+MONTH_STARTS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
+
+
+def julian_day_number(year, month, day):
+    """Day number of a proleptic Julian date counted from 1 January -4712
+    (day 0): whole years since then, every fourth one a leap year from
+    -4712 itself, then the month's start and the day."""
+    years = year + 4712
+    leap_day = years % 4 == 0 and month > 2
+    return (1461 * years + 3) // 4 + MONTH_STARTS[month - 1] + leap_day + day - 1
+
+
 class TestRoundTrip:
     def test_thousand_random_days(self):
         rng = random.Random(1402)
         for _ in range(1000):
             jdn = rng.randrange(588465, 2_500_000)
             date = jd_to_date(FixedDec.from_int(jdn, 1))
-            back = date_to_jd(date)
-            assert fd_to_string(back) == fd_to_string(FixedDec.from_int(jdn, 1))
+            assert julian_day_number(date.year, date.month, date.day) == jdn
 
     def test_monotone(self):
         rng = random.Random(99)

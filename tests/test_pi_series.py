@@ -13,7 +13,7 @@ from math import isqrt
 import pytest
 
 from madhava import bigfixed, pi_series
-from madhava.bigfixed import FixedDec, fd_from_string, fd_mul, fd_rescale, fd_to_string
+from madhava.bigfixed import FixedDec, fd_rescale, fd_to_string
 from madhava.pi_series import (
     AUX_A,
     AUX_B,
@@ -34,7 +34,6 @@ from madhava.pi_series import (
     _partial_sum,
     _running_sums,
     TermCountError,
-    arctan_series,
     aux_series,
     circumference_check,
     correction_term,
@@ -190,34 +189,6 @@ class TestAuxSeries:
     def test_unknown_id_rejected(self):
         with pytest.raises(ValueError):
             aux_series(LEIBNIZ, 3, 10)
-
-
-class TestArctan:
-    def test_zero(self):
-        v = arctan_series(fd_from_string("0.0"), 5, 10)
-        assert v.is_zero()
-
-    def test_x_one_is_quarter_leibniz(self):
-        for n in (1, 2, 7):
-            lhs = fd_mul(arctan_series(FixedDec.from_int(1), n, 18), FixedDec.from_int(4))
-            assert fd_to_string(lhs) == fd_to_string(leibniz_partial(n, 18))
-
-    def test_half_eight_terms_rational_oracle(self):
-        x = Fraction(1, 2)
-        oracle = sum(Fraction((-1) ** (k - 1), 1) * x ** (2 * k - 1) / (2 * k - 1)
-                     for k in range(1, 9))
-        v = arctan_series(fd_from_string("0.5"), 8, 14)
-        assert abs(as_fraction(v) - oracle) <= 20 * ulp(14)
-
-    def test_half_agrees_with_high_n_within_bound(self):
-        ref = arctan_series(fd_from_string("0.5"), 60, 30)
-        v = arctan_series(fd_from_string("0.5"), 8, 30)
-        bound = Fraction(1, 2) ** 17 / 17 + Fraction(30, 10**30)
-        assert abs(as_fraction(v) - as_fraction(ref)) <= bound
-
-    def test_divergent_argument_rejected(self):
-        with pytest.raises(ValueError):
-            arctan_series(fd_from_string("1.5"), 3, 10)
 
 
 class TestSqrt12:
@@ -443,16 +414,6 @@ class TestInvariants:
             for a, b in zip(values, values[1:]):
                 lo, hi = min(a, b), max(a, b)
                 assert lo <= PI_50 <= hi, name
-
-    def test_arctan_bracketing(self):
-        scale = 30
-        x = fd_from_string("0.7")
-        ref = as_fraction(arctan_series(x, 80, scale))
-        values = [as_fraction(arctan_series(x, n, scale)) for n in range(1, 11)]
-        for a, b, c in zip(values, values[1:], values[2:]):
-            assert abs(a - b) >= abs(b - c)
-        for a, b in zip(values, values[1:]):
-            assert min(a, b) - ulp(scale) <= ref <= max(a, b) + ulp(scale)
 
     def test_error_bound_invariant(self):
         # |value - pi_ref| <= bound + 10 ulp for every series

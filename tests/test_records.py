@@ -1,5 +1,5 @@
 """The frozen records: immutability, construction and equality, and what
-importing the CLI pulls in."""
+importing the CLI, geometry or chronology pulls in."""
 
 import subprocess
 import sys
@@ -55,12 +55,26 @@ class TestBehaviour:
         assert str(theta_t(FixedDec.from_int(180), 0)) == "3.1415926535"
 
 
-def test_import_cli_skips_dataclasses():
-    # -S keeps site and its imports out, so only madhava's own imports count
+def _fresh_import(module: str, report: str) -> str:
+    """What report prints in a fresh process that has imported module;
+    -S keeps site and its imports out, so only madhava's own imports
+    count."""
     src = Path(madhava.__file__).resolve().parent.parent
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import madhava.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; print({report})"
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+def test_import_cli_skips_dataclasses():
+    report = "sorted({'dataclasses', 'inspect'} & set(sys.modules))"
+    assert _fresh_import("madhava.cli", report) == "[]\n"
+
+
+@pytest.mark.parametrize("module", ("madhava.geometry", "madhava.chronology"))
+def test_module_imports_only_bigfixed(module):
+    # no series module behind the quadrilateral or the epoch check, so a
+    # trig or pi change cannot move them
+    report = "sorted(m for m in sys.modules if m.partition('.')[0] == 'madhava')"
+    assert _fresh_import(module, report) == f"{sorted(('madhava', 'madhava.bigfixed', module))}\n"

@@ -227,8 +227,8 @@ def test_verify_sums_the_sine_series_at_the_table_angles(monkeypatch):
     # verify's independent check of each entry sums the series at the
     # entry's own theta_t for scale 20
     seen = []
-    series = cli.odd_power_series
-    monkeypatch.setattr(cli, "odd_power_series",
+    series = cli._sine_sum
+    monkeypatch.setattr(cli, "_sine_sum",
                         lambda x, *rest: seen.append(x) or series(x, *rest))
     assert cli._check_sine_table().passed
     assert [as_fraction(x) for x in seen] == [
