@@ -6,13 +6,17 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
+from math import factorial
 
 import pytest
 
 import madhava.cli as cli
+from madhava.bigfixed import fd_from_string, fd_rescale, fd_to_string
 from madhava.cli import TRIG_TERM_CAP, build_parser, build_verify_report, main
 from madhava.pi_series import SCALE_CAP
 from madhava.trig_series import ANGLE_DIGITS, full_domain_terms, sin_terms_for
+from conftest import as_fraction, taylor_bracket
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +138,52 @@ class TestVerifyCommand:
         check = cli._check_hierarchy()
         assert not check.passed
         assert check.computed == "violated at n=7"
+
+
+class TestSineSum:
+    """verify's independent sine check: the term-by-term odd-power loop
+    against exact rationals and the conftest Taylor bracket."""
+
+    def test_zero(self):
+        assert cli._sine_sum(fd_from_string("0.0"), 5, 10).is_zero()
+
+    def test_one_term_is_x(self):
+        x = fd_from_string("0.123456789")
+        assert fd_to_string(cli._sine_sum(x, 1, 6)) == fd_to_string(fd_rescale(x, 6))
+
+    def test_odd_in_x(self):
+        # every step truncates toward zero, so negation passes through exactly
+        for s in ("0.5", "1.25", "3.1415926535"):
+            pos = cli._sine_sum(fd_from_string(s), 12, 20)
+            neg = cli._sine_sum(fd_from_string("-" + s), 12, 20)
+            assert fd_to_string(neg) == "-" + fd_to_string(pos)
+
+    def test_half_eight_terms_rational_oracle(self):
+        x = Fraction(1, 2)
+        oracle = sum((-1) ** k * x ** (2 * k + 1) / factorial(2 * k + 1) for k in range(8))
+        v = cli._sine_sum(fd_from_string("0.5"), 8, 14)
+        assert abs(as_fraction(v) - oracle) <= Fraction(20, 10**14)
+
+    def test_half_within_the_taylor_remainder_of_sin(self):
+        scale = 30
+        lo, hi = taylor_bracket(Fraction(1, 2), "sin", scale)
+        v = as_fraction(cli._sine_sum(fd_from_string("0.5"), 8, scale))
+        bound = Fraction(1, 2) ** 17 / factorial(17) + Fraction(30, 10**scale)
+        assert Fraction(lo, 10**scale) - bound <= v <= Fraction(hi, 10**scale) + bound
+
+    def test_partial_sums_bracket_sin(self):
+        # alternating terms of shrinking size: consecutive partial sums
+        # close in on sin(0.7) from either side
+        scale = 30
+        ulp = Fraction(1, 10**scale)
+        lo, hi = taylor_bracket(Fraction(7, 10), "sin", scale)
+        x = fd_from_string("0.7")
+        values = [as_fraction(cli._sine_sum(x, n, scale)) for n in range(1, 11)]
+        for a, b, c in zip(values, values[1:], values[2:]):
+            assert abs(a - b) >= abs(b - c)
+        for a, b in zip(values, values[1:]):
+            assert min(a, b) - 20 * ulp <= Fraction(lo, 10**scale)
+            assert Fraction(hi, 10**scale) <= max(a, b) + 20 * ulp
 
 
 class TestConvergeCommand:
