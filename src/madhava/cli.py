@@ -129,7 +129,7 @@ def _check_epoch() -> VerifyCheck:
 def _sine_sum(x: FixedDec, terms: int, scale: int) -> FixedDec:
     """sum_{k < terms} (-1)**k * x**(2k+1) / (2k+1)!, term by term, each
     power and each quotient truncated at scale: a plain loop that shares
-    no code with trig_series' nested evaluator."""
+    no code with trig_series._power_series, which nests."""
     xw = fd_rescale(x, scale)
     x2 = fd_mul(xw, xw)
     acc = FixedDec.from_int(0, scale)

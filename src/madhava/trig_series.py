@@ -1,12 +1,11 @@
 """Sine and cosine power series, nested polynomial evaluation, the
 24-entry sine table, second-order shift formulas and angle-addition rules.
 
-The evaluation scheme: sin, cos and sin^2 each have a coefficient table,
-precomputed once per (purpose, terms, scale), and share one evaluation as
-a polynomial in theta**2 by innermost-first nesting, one multiply and one
-add per coefficient (then times theta for sin, theta**2 for sin^2).  A
-table is built from exact integer ratios and truncated once, so repeated
-calls share identical coefficients.
+The evaluation scheme: sin, cos and sin^2 share one loop that sums the
+series as a polynomial in theta**2 by innermost-first nesting, one
+multiply and one add per coefficient (then times theta for sin, theta**2
+for sin^2).  Each coefficient is an exact integer ratio floored once at
+the working scale as the loop reaches it; nothing is memoised.
 
 Every angle is FixedDec radians.  theta_t(degrees, scale) is the angle a
 degree argument names for a result at scale: degrees * pi / 180
@@ -39,9 +38,8 @@ sin 90 = 1) survive at table scale.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import factorial
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .bigfixed import (
     FixedDec,
@@ -93,43 +91,6 @@ _COEFFICIENT_TERMS: dict[str, Callable[[int], tuple[int, int]]] = {
 }
 
 
-class CoeffTable(NamedTuple):
-    """Signed coefficients (-1)**k * num / den of one series in
-    x = theta**2, each truncated once at the table's scale."""
-
-    purpose: str
-    coefficients: tuple[FixedDec, ...]
-
-
-@lru_cache(maxsize=None)
-def coeff_table(purpose: str, terms: int, scale: int) -> CoeffTable:
-    if purpose not in _COEFFICIENT_TERMS:
-        raise ValueError(f"table purpose must be sin, cos or sinsq, got {purpose!r}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    term = _COEFFICIENT_TERMS[purpose]
-    coeffs = tuple(fd_from_ratio(*term(k), (-1) ** k, scale) for k in range(terms))
-    return CoeffTable(purpose=purpose, coefficients=coeffs)
-
-
-def nested_eval(table: CoeffTable, theta: FixedDec, scale: int) -> FixedDec:
-    """Evaluate the table's polynomial at x = theta**2 by nesting:
-    (((c_N x + c_{N-1}) x + ...) x + c_0), one multiply and one add per
-    coefficient; then times theta for sin and theta**2 for sin^2."""
-    if not table.coefficients:
-        raise ValueError("empty coefficient table")
-    th = fd_rescale(theta, scale)
-    x = fd_mul(th, th)
-    acc = fd_rescale(table.coefficients[-1], scale)
-    for c in reversed(table.coefficients[:-1]):
-        acc = fd_add(fd_mul(acc, x), fd_rescale(c, scale))
-    if table.purpose == SIN:
-        acc = fd_mul(acc, th)
-    elif table.purpose == SINSQ:
-        acc = fd_mul(acc, x)
-    return acc
-
-
 def _check_domain(theta: FixedDec, limit: FixedDec, what: str) -> None:
     # two ulp of slack so boundary angles built from truncated pi pass
     slack = FixedDec(1, 2, limit.scale)
@@ -137,11 +98,27 @@ def _check_domain(theta: FixedDec, limit: FixedDec, what: str) -> None:
         raise ValueError(f"angle out of range: |theta| must be <= {what}")
 
 
-def _power_series(purpose: str, theta: FixedDec, terms: int, scale: int) -> FixedDec:
+def _power_series(fn: str, theta: FixedDec, terms: int, scale: int) -> FixedDec:
+    """fn's first terms terms at theta, summed at ws = scale + GUARD as a
+    polynomial in x = theta**2 by nesting, (((c_N x + c_{N-1}) x + ...) x
+    + c_0), each coefficient floored at ws; then times theta for sin and
+    x for sin^2, truncated to scale."""
     _check_domain(theta, pi_reference(scale + ANGLE_DIGITS), "pi")
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
     ws = scale + GUARD
-    table = coeff_table(purpose, terms, ws)
-    return fd_rescale(nested_eval(table, theta, ws), scale)
+    th = fd_rescale(theta, ws)
+    x = fd_mul(th, th)
+    term, one = _COEFFICIENT_TERMS[fn], 10**ws
+    acc = FixedDec.from_int(0, ws)
+    for k in reversed(range(terms)):
+        num, den = term(k)
+        acc = fd_add(fd_mul(acc, x), FixedDec((-1) ** k, num * one // den, ws))
+    if fn == SIN:
+        acc = fd_mul(acc, th)
+    elif fn == SINSQ:
+        acc = fd_mul(acc, x)
+    return fd_rescale(acc, scale)
 
 
 def sin_series(theta: FixedDec, terms: int, scale: int) -> FixedDec:

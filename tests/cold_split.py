@@ -14,7 +14,8 @@ one's median wall time:
 The difference to the bare interpreter is madhava's own share.  It then
 prints whether PYTHONDONTWRITEBYTECODE is set, since without written
 bytecode every process compiles madhava's sources again, and the
-compile() time of each source in src/madhava (the median of five).
+compile() time of each source in src/madhava: the minimum over N
+rounds, each round compiling every source once in turn.
 pytest does not collect this file, as its name does not match
 test_*.py.
 """
@@ -53,14 +54,10 @@ def wall_ms(cmd: list[str], env: dict[str, str]) -> float:
     return (time.perf_counter() - start) * 1000
 
 
-def compile_ms(path: Path) -> float:
-    source = path.read_text(encoding="utf-8")
-    times = []
-    for _ in range(5):
-        start = time.perf_counter()
-        compile(source, str(path), "exec")
-        times.append((time.perf_counter() - start) * 1000)
-    return statistics.median(times)
+def compile_ms(source: str, path: Path) -> float:
+    start = time.perf_counter()
+    compile(source, str(path), "exec")
+    return (time.perf_counter() - start) * 1000
 
 
 def main() -> int:
@@ -83,12 +80,16 @@ def main() -> int:
         ms = statistics.median(samples)
         print(f"{ms:8.1f} {ms - bare:8.1f}  {name}")
     print(f"\nPYTHONDONTWRITEBYTECODE is {'set' if os.environ.get('PYTHONDONTWRITEBYTECODE') else 'not set'}")
-    total = 0.0
-    for path in sorted((ROOT / "src" / "madhava").glob("*.py")):
-        ms = compile_ms(path)
-        total += ms
-        print(f"{ms:8.2f} ms  compile({path.name})")
-    print(f"{total:8.2f} ms  all of src/madhava")
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted((ROOT / "src" / "madhava").glob("*.py"))}
+    compiles: dict[Path, list[float]] = {path: [] for path in sources}
+    for _ in range(args.runs):
+        for path, source in sources.items():
+            compiles[path].append(compile_ms(source, path))
+    print(f"minima of {args.runs} interleaved compile() rounds")
+    for path, samples in compiles.items():
+        print(f"{min(samples):8.2f} ms  compile({path.name})")
+    print(f"{sum(min(s) for s in compiles.values()):8.2f} ms  all of src/madhava")
     return 0
 
 

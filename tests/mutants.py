@@ -96,6 +96,11 @@ MUTANTS = (
            "return CORRECTIONS if series_id == LEIBNIZ else (NO_CORRECTION,)",
            "return CORRECTIONS", (PI_SERIES, CLI)),
     # trig
+    Mutant("coefficient-sign-constant", "trig_series.py",
+           "FixedDec((-1) ** k, num * one // den, ws)", "FixedDec(1, num * one // den, ws)",
+           (TRIG,)),
+    Mutant("sin-sq-times-theta", "trig_series.py",
+           "acc = fd_mul(acc, x)", "acc = fd_mul(acc, th)", (TRIG,)),
     Mutant("domain-slack-narrowed", "trig_series.py",
            "slack = FixedDec(1, 2, limit.scale)", "slack = FixedDec(1, 1, limit.scale)", (TRIG,)),
     Mutant("for-scale-no-guard", "trig_series.py",

@@ -3,9 +3,9 @@
 pi_reference and build_sine_table decide every digit they return
 through bigfixed.settled and widen by GUARD digits until it answers, so
 any GUARD >= 1 must give the bytes that the shipped GUARD = 10 gives.
-GUARD is moved in every module that binds it, and the pi and
-coefficient memos are cleared around each run, so nothing computed at
-one GUARD is read at another.
+GUARD is moved in every module that binds it, and the pi memo is
+cleared around each run, so nothing computed at one GUARD is read at
+another.
 """
 
 import sys
@@ -16,7 +16,7 @@ import pytest
 import madhava.cli  # imports every module of the package
 from madhava import pi_series, trig_series
 from madhava.pi_series import pi_reference
-from madhava.trig_series import build_sine_table, coeff_table
+from madhava.trig_series import build_sine_table
 
 BINDERS = tuple(module for name, module in sorted(sys.modules.items())
                 if name.startswith("madhava.") and hasattr(module, "GUARD"))
@@ -29,13 +29,11 @@ def settled_digits(guard: int, table_scales: tuple[int, ...]) -> tuple[list[str]
         for module in BINDERS:
             patch.setattr(module, "GUARD", guard)
         pi_reference.cache_clear()
-        coeff_table.cache_clear()
         try:
             return ([str(pi_reference(s)) for s in PI_SCALES],
                     [str(v) for s in table_scales for _, v in build_sine_table(s)])
         finally:
             pi_reference.cache_clear()
-            coeff_table.cache_clear()
 
 
 @cache

@@ -12,7 +12,7 @@ from madhava.bigfixed import FixedDec
 from madhava.chronology import CalendarDate, EpochReport, venvaroha_epoch_check
 from madhava.cli import VerifyCheck
 from madhava.pi_series import SERIES, PiResult, SeriesDef, evaluate
-from madhava.trig_series import CoeffTable, coeff_table, theta_t
+from madhava.trig_series import theta_t
 
 
 def _records():
@@ -22,13 +22,12 @@ def _records():
         VerifyCheck("name", "expected", "computed", "exact", True),
         SERIES["leibniz"],
         evaluate("leibniz", 5, "none", 20),
-        coeff_table("sin", 3, 10),
     ]
 
 
 def test_every_record_is_listed():
     kinds = {type(r) for r in _records()}
-    assert kinds == {CalendarDate, EpochReport, VerifyCheck, SeriesDef, PiResult, CoeffTable}
+    assert kinds == {CalendarDate, EpochReport, VerifyCheck, SeriesDef, PiResult}
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: type(r).__name__)

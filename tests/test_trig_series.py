@@ -1,5 +1,6 @@
-"""Trig series: nested-evaluation equivalence, table invariants,
-shift-formula error order, angle-addition identities."""
+"""Trig series: the coefficient identities and the nested loop against
+an exact-rational model, table invariants, shift-formula error order,
+angle-addition identities."""
 
 import random
 from fractions import Fraction
@@ -19,8 +20,9 @@ from madhava.bigfixed import (
     fd_sub,
     fd_to_string,
 )
-from madhava.pi_series import pi_reference
+from madhava.pi_series import GUARD, pi_reference
 from madhava.trig_series import (
+    _COEFFICIENT_TERMS,
     _sin_cos,
     ANGLE_DIGITS,
     COS,
@@ -30,13 +32,10 @@ from madhava.trig_series import (
     SIN_DIFF,
     SIN_SUM,
     SINSQ,
-    CoeffTable,
     angle_add,
     build_sine_table,
-    coeff_table,
     cos_series,
     full_domain_terms,
-    nested_eval,
     sin_series,
     sin_sq_series,
     sin_terms_for,
@@ -61,71 +60,55 @@ def rand_angle(rng, scale, max_milli=1570):
     return FixedDec(1, BigNat.from_int(m), scale)
 
 
-class TestCoeffTable:
-    def test_signs_and_decrease(self):
-        for purpose in (SIN, COS):
-            table = coeff_table(purpose, 10, 30)
-            assert len(table.coefficients) == 10
-            for k, c in enumerate(table.coefficients):
-                assert c.sign == (1 if k % 2 == 0 else -1)
-            mags = [abs(c) for c in table.coefficients]
-            for a, b in zip(mags, mags[1:]):
-                assert b < a
-
-    def test_cached(self):
-        assert coeff_table(SIN, 8, 25) is coeff_table(SIN, 8, 25)
-
-    def test_refusals(self):
-        with pytest.raises(ValueError):
-            coeff_table("tan", 3, 10)
-        with pytest.raises(ValueError):
-            coeff_table(SIN, 0, 10)
-        with pytest.raises(ValueError):
-            nested_eval(CoeffTable(SIN, ()), fd_from_string("0.5"), 10)
-
-    def test_single_coefficient(self):
-        # constant polynomial: cos table of one term is exactly 1
-        t = coeff_table(COS, 1, 12)
-        v = nested_eval(t, fd_from_string("0.73"), 12)
-        assert fd_to_string(v) == "1.000000000000"
-        # sin path with one term reduces to theta itself
-        t = coeff_table(SIN, 1, 12)
-        v = nested_eval(t, fd_from_string("0.5"), 12)
-        assert fd_to_string(v) == "0.500000000000"
-
-    def test_sin_sq_matches_running_product_oracle(self):
-        # coefficient k is (-1)**k / D_{k+1}, with D_1 = 1 and
-        # D_k = D_{k-1} * (k^2 - k/2), each truncated once at the scale
-        scale = 30
-        table = coeff_table(SINSQ, 12, scale)
-        d = Fraction(1)
-        for k, c in enumerate(table.coefficients):
-            if k > 0:
-                d *= Fraction((k + 1) ** 2) - Fraction(k + 1, 2)
-            assert c.sign == (-1) ** k
-            assert abs(as_fraction(c)) == Fraction(int(10**scale / d), 10**scale)
+SERIES = {SIN: sin_series, COS: cos_series, SINSQ: sin_sq_series}
 
 
-class TestNestedEval:
-    def test_matches_term_by_term_oracle(self):
-        # oracle: exact rational summation of the same truncated
-        # coefficients at the same truncated x = theta**2
+def test_coefficient_identities():
+    # (num, den) = term(k) is the coefficient's exact magnitude: 1/(2k+1)!,
+    # 1/(2k)!, and for sin^2 1/D_{k+1}, with D_1 = 1 and
+    # D_k = D_{k-1} * (k^2 - k/2)
+    d = Fraction(1)
+    for k in range(40):
+        if k > 0:
+            d *= Fraction((k + 1) ** 2) - Fraction(k + 1, 2)
+        assert Fraction(*_COEFFICIENT_TERMS[SIN](k)) == Fraction(1, factorial(2 * k + 1))
+        assert Fraction(*_COEFFICIENT_TERMS[COS](k)) == Fraction(1, factorial(2 * k))
+        assert Fraction(*_COEFFICIENT_TERMS[SINSQ](k)) == 1 / d
+
+
+class TestNestedLoop:
+    @pytest.mark.parametrize("fn", (SIN, COS, SINSQ))
+    def test_zero_terms_refused(self, fn):
+        with pytest.raises(ValueError, match="terms must be >= 1"):
+            SERIES[fn](fd_from_string("0.5"), 0, 10)
+
+    def test_single_term(self):
+        # the constant coefficient 1, times theta for sin, theta**2 for sin^2
+        theta = fd_from_string("0.73")
+        assert fd_to_string(cos_series(theta, 1, 12)) == "1.000000000000"
+        assert fd_to_string(sin_series(theta, 1, 12)) == "0.730000000000"
+        assert fd_to_string(sin_sq_series(theta, 1, 12)) == "0.532900000000"
+
+    @pytest.mark.parametrize("fn", (SIN, COS, SINSQ))
+    def test_matches_exact_rational_model(self, fn):
+        # model: the exact rational sum of the same coefficients, each
+        # floored at ws, at the same truncated x = theta**2, times theta
+        # for sin and x for sin^2; one ulp for the final truncation, and
+        # the nesting's own floors at ws lie far below the other
         rng = random.Random(2024)
         scale = 20
-        ws = scale + 6
+        ws = scale + GUARD
         for _ in range(25):
             theta = rand_angle(rng, ws)
             terms = rng.randrange(1, 14)
-            for purpose in (SIN, COS):
-                table = coeff_table(purpose, terms, ws)
-                got = fd_rescale(nested_eval(table, theta, ws), scale)
-                th = as_fraction(theta)
-                x_m = (theta.mantissa.to_int() ** 2) // 10**ws
-                x = Fraction(x_m, 10**ws)
-                acc = sum(as_fraction(c) * x**k for k, c in enumerate(table.coefficients))
-                if purpose == SIN:
-                    acc *= th
-                assert abs(as_fraction(got) - acc) <= 5 * ulp(scale)
+            got = SERIES[fn](theta, terms, scale)
+            x = Fraction(theta.mantissa.to_int() ** 2 // 10**ws, 10**ws)
+            acc = Fraction(0)
+            for k in range(terms):
+                num, den = _COEFFICIENT_TERMS[fn](k)
+                acc += (-1) ** k * Fraction(num * 10**ws // den, 10**ws) * x**k
+            acc *= {SIN: as_fraction(theta), COS: 1, SINSQ: x}[fn]
+            assert abs(as_fraction(got) - acc) <= 2 * ulp(scale), (fn, terms)
 
 
 class TestSinCos:
