@@ -350,13 +350,9 @@ class FixedDec:
 
 # spec-named operation surface ------------------------------------------------
 
-def fd_from_ratio(num, den, sign: int = 1, scale: int = 0) -> FixedDec:
-    """num/den at the given scale; mantissa = floor(num * 10**scale / den).
-
-    Truncates toward zero, never rounds.  num and den are naturals (or
-    non-negative ints); den must be nonzero.
-    """
-    return fd_divn(FixedDec(sign, num, 0), den, scale)
+def fd_from_ratio(num, den, scale: int) -> FixedDec:
+    """num / den floored at scale, for naturals num and den > 0."""
+    return fd_divn(FixedDec(1, num, 0), den, scale)
 
 
 def fd_add(a: FixedDec, b: FixedDec) -> FixedDec:
@@ -383,17 +379,11 @@ def fd_mul(a: FixedDec, b: FixedDec) -> FixedDec:
     return FixedDec(a.sign * b.sign, mant, out_scale)
 
 
-def fd_div(a: FixedDec, b: FixedDec, scale: int) -> FixedDec:
-    """Quotient truncated toward zero at the requested scale."""
-    if b.is_zero():
-        raise ZeroDivisionError("fd_div by zero")
-    num = fd_rescale(a, scale + b.scale).mantissa
-    return FixedDec(a.sign * b.sign, num // b.mantissa, scale)
-
-
 def fd_divn(a: FixedDec, n, scale: int | None = None) -> FixedDec:
-    """Divide by a natural (truncating); keeps a.scale unless told otherwise."""
-    return fd_div(a, FixedDec(1, n, 0), a.scale if scale is None else scale)
+    """a / n for a natural n, truncated toward zero at scale (a.scale
+    unless given); a zero n raises ZeroDivisionError."""
+    scale = a.scale if scale is None else scale
+    return FixedDec(a.sign, fd_rescale(a, scale).mantissa // _as_nat(n), scale)
 
 
 def fd_rescale(a: FixedDec, scale: int) -> FixedDec:

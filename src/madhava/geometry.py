@@ -44,5 +44,5 @@ def circumradius(q: Sequence[FixedDec], scale: int) -> FixedDec:
     num = (a * b + c * d) * (a * c + b * d) * (a * d + b * c)
     den = brackets[0] * brackets[1] * brackets[2] * brackets[3]
     # floor(sqrt(floor(x))) == floor(sqrt(x)), so both floors are R's own
-    return fd_isqrt(fd_from_ratio(num, den * 10 ** (2 * e), 1, 2 * scale), scale)
+    return fd_isqrt(fd_from_ratio(num, den * 10 ** (2 * e), 2 * scale), scale)
 

@@ -196,13 +196,13 @@ def _running_sums(series: SeriesDef, n: int, scale: int) -> Iterator[FixedDec]:
     scaled by pending and reset pending to 1; a ratio-1 series, whose den
     may outgrow one limb (aux-c's from k = 33), never does.  Since
     floor(floor(x / a) / b) = floor(x / (a * b)) for positive integers,
-    every mantissa equals fd_from_ratio(*exact_term(k)).  For sqrt12 every
-    divisor fits one limb, so a term costs one O(scale) pass, plus the
-    division of scaled by pending every 12 to 17 terms, instead of a
+    every mantissa equals fd_from_ratio(*exact_term(k), scale).  For
+    sqrt12 every divisor fits one limb, so a term costs one O(scale) pass,
+    plus the division of scaled by pending every 12 to 17 terms, instead of a
     division by an O(scale)-digit denominator; every series is spared the
     per-term shift.
     """
-    acc = fd_from_ratio(*series.lead, 1, scale) if series.lead else FixedDec.from_int(0, scale)
+    acc = fd_from_ratio(*series.lead, scale) if series.lead else FixedDec.from_int(0, scale)
     step = -1 if series.alternating else 1
     sign = 1
     pending = 1
@@ -249,7 +249,7 @@ def correction_term(n: int, variant: str, scale: int) -> FixedDec:
     if variant not in CORRECTION_TERMS:
         raise ValueError(f"unknown correction variant {variant!r}")
     num, den = CORRECTION_TERMS[variant](n)
-    return fd_from_ratio(num, den, 1, scale)
+    return fd_from_ratio(num, den, scale)
 
 
 def _corrected(partial: FixedDec, n: int, corr: FixedDec) -> FixedDec:
@@ -309,7 +309,7 @@ def madhava_pi_value(scale: int) -> FixedDec:
     """
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    return fd_from_ratio(MADHAVA_CIRCUMFERENCE, CIRCLE_DIAMETER, 1, scale)
+    return fd_from_ratio(MADHAVA_CIRCUMFERENCE, CIRCLE_DIAMETER, scale)
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,12 @@
 """Sine and cosine power series, nested polynomial evaluation, the
 24-entry sine table, second-order shift formulas and angle-addition rules.
 
-The evaluation scheme: sin, cos and sin^2 share one loop that sums the
-series as a polynomial in theta**2 by innermost-first nesting, one
-multiply and one add per coefficient (then times theta for sin, theta**2
-for sin^2).  Each coefficient is an exact integer ratio floored once at
-the working scale as the loop reaches it; nothing is memoised.
+Two nested schemes.  trig eval's sin, cos and sin^2 share one loop that
+sums the series as a polynomial in theta**2, innermost first, flooring
+each exact coefficient ratio at the working scale as it goes.  _sin_cos,
+the sine-cosine pair behind the sine table, the shift formulas and the
+addition rules, runs Madhava's ratio form u(1 - u**2/(2*3)(1 - u**2/(4*5)
+(...))) on plain ints and floors no coefficient.
 
 Every angle is FixedDec radians.  theta_t(degrees, scale) is the angle a
 degree argument names for a result at scale: degrees * pi / 180
@@ -15,9 +16,7 @@ addition rules is theta_t of 90 degrees, and the series' pi limit is pi
 floored at scale + ANGLE_DIGITS.  ANGLE_DIGITS is part of what the CLI
 prints.  The series contracts hold for |theta| <= pi.
 full_domain_terms(digits, fn) is the term count for that domain; the
-cosine sums one term more than the sine, and so does every sine-cosine
-pair of one angle, which _sin_cos gives the sine table, the shift
-formulas and the addition rules.
+cosine sums one term more than the sine, as in _sin_cos.
 
 The sine table runs the second-difference rule s_{k+1} = 2 cos(h) s_k -
 s_{k-1} over h = 3.75 degrees from one sin h and one cos h.  Where
@@ -29,11 +28,10 @@ GUARD >= 1.
 Every public operation takes a target scale and truncates its result to
 it.  GUARD says only where the kernels start: the series work at
 scale + GUARD, and the sine table, the shift formulas and the addition
-rules work at scale + GUARD and ask the series for that scale, so their
-series run at scale + 2*GUARD.  The one
-exception to truncate-everywhere is the final quantization of sine-table
-entries, which rounds half-away so that exact values (sin 30 = 0.5,
-sin 90 = 1) survive at table scale.
+rules work at scale + GUARD and ask _sin_cos for that scale, so the pair
+runs at scale + 2*GUARD.  The one exception to truncate-everywhere is
+the final quantization of sine-table entries, which rounds half-away so
+that exact values (sin 30 = 0.5, sin 90 = 1) survive at table scale.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ COS_DIFF = "cos-diff"
 ADDITION_RULES = (SIN_SUM, SIN_DIFF, COS_SUM, COS_DIFF)
 
 SINE_TABLE_SIZE = 24  # one twenty-fourth of a quadrant: 3.75 degree steps
-_TABLE_STEP_MILLI = 66  # 3.75 degrees is below 0.066 rad
 _RIGHT_ANGLE = FixedDec.from_int(90)
 # theta_t's extra digits: a degree argument's angle for a result at
 # scale is floored at scale + ANGLE_DIGITS from pi floored ANGLE_DIGITS
@@ -170,7 +167,7 @@ TRIG_TERM_CAP = 488  # full_domain_terms(SCALE_CAP + ANGLE_DIGITS), stored for a
 
 def table_degrees(k: int) -> FixedDec:
     """Sine-table entry k's angle, k * 3.75 degrees, exact at scale 2."""
-    return fd_from_ratio(15 * k, 4, 1, 2)
+    return fd_from_ratio(15 * k, 4, 2)
 
 
 def build_sine_table(scale: int) -> tuple[tuple[int, FixedDec], ...]:
@@ -202,11 +199,9 @@ def build_sine_table(scale: int) -> tuple[tuple[int, FixedDec], ...]:
 
 
 def _second_difference_sines(h: FixedDec, count: int, ws: int) -> list[FixedDec]:
-    """s_0 .. s_count at ws by the second-difference rule
-    s_{k+1} = 2 cos(h) s_k - s_{k-1}, with s_0 = 0; sin h and cos h come
-    from _sin_cos with the sine's term count for |h| below 3.75
-    degrees."""
-    sin_h, cos_h = _sin_cos(h, ws, sin_terms_for(ws + GUARD, _TABLE_STEP_MILLI))
+    """s_0 .. s_count at ws by the second-difference rule s_{k+1} =
+    2 cos(h) s_k - s_{k-1} from s_0 = 0 and _sin_cos's sin h and cos h."""
+    sin_h, cos_h = _sin_cos(h, ws)
     two_cos_h = fd_mul(FixedDec.from_int(2), cos_h)
     sines = [FixedDec.from_int(0, ws), sin_h]
     while len(sines) <= count:
@@ -221,8 +216,8 @@ def _drift_ulp(k: int) -> int:
     or theta_k / k truncated at a wider scale.
 
     sin h and cos h are each within 2 ulp (one for the final truncation;
-    the series' remainder, below 10**-GUARD ulp for both, and the
-    rounding of its GUARD extra digits lie below the other), so every step
+    every nested factor is below 0.003 as h < 0.066 rad, so the rest is
+    under 3 ulp at GUARD >= 1 more digits, below the other), so every step
     adds under 1 + 2 * 2 * |s_k| < 6 ulp: the truncated product and the
     error of cos h.  The recurrence carries an error made at step j into
     s_k times U_{k-1-j}(cos h) = sin((k-j) h) / sin h, at most k - j in
@@ -232,11 +227,25 @@ def _drift_ulp(k: int) -> int:
     return 3 * k * k
 
 
-def _sin_cos(u: FixedDec, ws: int, terms: int) -> tuple[FixedDec, FixedDec]:
-    """sin u from terms terms and cos u from terms + 1, at ws.  The
-    cosine's remainder after N terms is (2N + 1)/|u| times the sine's;
-    after N + 1 it is |u|/(2N + 2) times it."""
-    return sin_series(u, terms, ws), cos_series(u, terms + 1, ws)
+def _sin_cos(u: FixedDec, ws: int) -> tuple[FixedDec, FixedDec]:
+    """sin u and cos u at ws for |u| <= pi/2, by Madhava's nesting in x =
+    u**2 on ints at ws + GUARD: sin u = u(1 - x/(2*3)(1 - x/(4*5)(...)))
+    to N = sin_terms_for(ws + GUARD, ceil(1000|u|)) terms, cos u = 1 -
+    x/(1*2)(1 - x/(3*4)(...)) to N + 1.  One floor a step; every factor
+    but cos's first (x/2 < 1.24) is below 1, so they stay within a few
+    ulp there.  Each result is truncated toward zero at ws."""
+    work = ws + GUARD
+    one, cut = 10**work, 10**GUARD
+    m = fd_rescale(abs(u), work).mantissa.to_int()
+    terms = sin_terms_for(work, -(-1000 * m // one))
+    x = m * m // one
+    s = c = one
+    for k in range(terms - 1, 0, -1):
+        s = one - x * s // (2 * k * (2 * k + 1) * one)
+    for k in range(terms, 0, -1):
+        c = one - x * c // ((2 * k - 1) * 2 * k * one)
+    cos_u = FixedDec(1 if c >= 0 else -1, abs(c) // cut, ws)
+    return FixedDec(u.sign, m * s // (one * cut), ws), cos_u
 
 
 def taylor_shift(u: FixedDec, h: FixedDec, fn: str, scale: int) -> FixedDec:
@@ -254,7 +263,7 @@ def taylor_shift(u: FixedDec, h: FixedDec, fn: str, scale: int) -> FixedDec:
     _check_domain(u, theta_t(_RIGHT_ANGLE, scale), "pi/2")
     if abs(h) > FixedDec(1, 5, 1):  # 0.5, compared with h as given
         raise ValueError("shift step must satisfy |h| <= 0.5")
-    s, c = _sin_cos(u, ws, sin_terms_for(ws))
+    s, c = _sin_cos(u, ws)
     hw = fd_rescale(h, ws)
     h2_half = fd_divn(fd_mul(hw, hw), 2)
     # a + h*b - h^2/2 * a, with (a, b) = (sin u, cos u) or (cos u, -sin u)
@@ -282,9 +291,8 @@ def angle_add(x: FixedDec, y: FixedDec, which: str, scale: int) -> FixedDec:
     xw, yw = fd_rescale(x, ws), fd_rescale(y, ws)
     combined = fd_add(xw, yw) if which.endswith("sum") else fd_sub(xw, yw)
     _check_domain(combined, half_pi, "pi/2")
-    terms = sin_terms_for(ws)
-    sx, cx = _sin_cos(x, ws, terms)
-    sy, cy = _sin_cos(y, ws, terms)
+    sx, cx = _sin_cos(x, ws)
+    sy, cy = _sin_cos(y, ws)
     if which.startswith(SIN):
         first, second = fd_mul(sx, cy), fd_mul(cx, sy)
     else:

@@ -108,7 +108,9 @@ MUTANTS = (
     Mutant("recurrence-factor-one", "trig_series.py",
            "fd_mul(FixedDec.from_int(2), cos_h)", "fd_mul(FixedDec.from_int(1), cos_h)", (TRIG,)),
     Mutant("table-cos-sine-count", "trig_series.py",
-           "cos_series(u, terms + 1, ws)", "cos_series(u, terms, ws)", (GUARD, TRIG)),
+           "for k in range(terms, 0, -1):", "for k in range(terms - 1, 0, -1):", (GUARD, TRIG)),
+    Mutant("pair-sine-divisor-cosine", "trig_series.py",
+           "2 * k * (2 * k + 1) * one", "2 * k * (2 * k - 1) * one", (TRIG,)),
     Mutant("eval-cos-sine-count", "trig_series.py",
            "sin_terms_for(digits, 3142) + (fn == COS)", "sin_terms_for(digits, 3142)", (TRIG,)),
     Mutant("shift-h-truncated", "trig_series.py",
@@ -122,7 +124,7 @@ MUTANTS = (
     Mutant("full-domain-half-pi", "trig_series.py",
            "sin_terms_for(digits, 3142)", "sin_terms_for(digits, 1571)", (TRIG_ORACLE, CLI)),
     Mutant("table-step-four-degrees", "trig_series.py",
-           "fd_from_ratio(15 * k, 4, 1, 2)", "fd_from_ratio(16 * k, 4, 1, 2)", (TRIG_ORACLE,)),
+           "fd_from_ratio(15 * k, 4, 2)", "fd_from_ratio(16 * k, 4, 2)", (TRIG_ORACLE,)),
     # geometry
     Mutant("bracket-admits-one-ulp", "geometry.py",
            "br * 10**scale <= 10**e", "br * 10**scale < 10**e", (GEOMETRY,)),

@@ -119,7 +119,7 @@ def test_criterion_3_sine_table():
     table = build_sine_table(10)
     tol = Fraction(1, 10**8)
     for k, value in table:
-        degrees = fd_from_ratio(15 * k, 4, 1, 22)
+        degrees = fd_from_ratio(15 * k, 4, 22)
         independent = sin_direct(theta_t(degrees, 20), 15, 20)
         assert abs(as_fraction(value) - as_fraction(independent)) <= tol, f"entry {k}"
     report(3, "all 24 table entries match a 15-term scale-20 evaluation to 1e-8", t0, 1.0)

@@ -13,7 +13,6 @@ from madhava.bigfixed import (
     FixedDec,
     ScaleMismatchError,
     fd_add,
-    fd_div,
     fd_divn,
     fd_floor_int,
     fd_from_ratio,
@@ -183,9 +182,9 @@ class TestCarryChains:
 
 class TestFixedDec:
     def test_from_ratio_examples(self):
-        assert fd_to_string(fd_from_ratio(1, 3, 1, 5)) == "0.33333"
-        assert fd_to_string(fd_from_ratio(1, 1, 1, 10)) == "1.0000000000"
-        assert fd_to_string(fd_from_ratio(2827433388233, 9 * 10**11, 1, 14)) == "3.14159265359222"
+        assert fd_to_string(fd_from_ratio(1, 3, 5)) == "0.33333"
+        assert fd_to_string(fd_from_ratio(1, 1, 10)) == "1.0000000000"
+        assert fd_to_string(fd_from_ratio(2827433388233, 9 * 10**11, 14)) == "3.14159265359222"
 
     def test_from_ratio_truncation_bound(self):
         rng = random.Random(55)
@@ -193,7 +192,7 @@ class TestFixedDec:
             n = rng.randrange(0, 10**12)
             d = rng.randrange(1, 10**9)
             s = rng.randrange(0, 25)
-            v = fd_from_ratio(n, d, 1, s)
+            v = fd_from_ratio(n, d, s)
             err = Fraction(n, d) - as_fraction(v)
             assert 0 <= err < Fraction(1, 10**s)
             # the mantissa is exactly the floor model
@@ -232,13 +231,13 @@ class TestFixedDec:
             assert out.scale == max(sa, sb)
             assert out.mantissa.to_int() == ma * mb // 10 ** min(sa, sb)
 
-    def test_div_truncates(self):
-        v = fd_div(fd_from_string("1.0"), fd_from_string("3.0"), 6)
+    def test_divn_truncates(self):
+        v = fd_divn(fd_from_string("1.0"), 3, 6)
         assert fd_to_string(v) == "0.333333"
-        v = fd_div(fd_from_string("-1.0"), fd_from_string("3.0"), 6)
+        v = fd_divn(fd_from_string("-1.0"), 3, 6)
         assert fd_to_string(v) == "-0.333333"
         with pytest.raises(ZeroDivisionError):
-            fd_div(fd_from_string("1.0"), fd_from_string("0.0"), 6)
+            fd_divn(fd_from_string("1.0"), 0, 6)
 
     def test_isqrt_examples(self):
         assert fd_to_string(fd_isqrt(fd_from_string("0"), 6)) == "0.000000"
@@ -393,14 +392,14 @@ class TestLargeOperands:
             assert as_fraction(out) == truncated(as_fraction(a) * as_fraction(b), out.scale)
             assert_canonical(out)
 
-    def test_div_by_multi_limb_divisors(self):
+    def test_divn_by_multi_limb_bignats(self):
         rng = random.Random(2001)
         for _ in range(150):
-            a, b = self.rand_fd(rng), self.rand_fd(rng, min_digits=10)
+            a, n = self.rand_fd(rng), self.rand_fd(rng, min_digits=10).mantissa
             scale = rng.randrange(0, 1500)
-            out = fd_div(a, b, scale)
+            out = fd_divn(a, n, scale)
             assert out.scale == scale
-            assert as_fraction(out) == truncated(as_fraction(a) / as_fraction(b), scale)
+            assert as_fraction(out) == truncated(as_fraction(a) / n.to_int(), scale)
             assert_canonical(out)
 
     def test_divn_by_multi_limb_naturals(self):
@@ -420,7 +419,8 @@ class TestLargeOperands:
             num = rng.randrange(0, 10 ** rng.randrange(1, 2000))
             den = rng.randrange(BASE, 10 ** rng.randrange(10, 2000))
             sign, scale = rng.choice((1, -1)), rng.randrange(0, 1500)
-            out = fd_from_ratio(num, den, sign, scale)
+            out = fd_from_ratio(num, den, scale)
+            out = out if sign > 0 else -out
             assert as_fraction(out) == truncated(Fraction(sign * num, den), scale)
             assert_canonical(out)
 

@@ -279,17 +279,10 @@ ADDRULE_CASES = (("sin-sum", "50", "35"), ("sin-diff", "80", "13"),
                  ("cos-sum", "41", "37"), ("cos-diff", "89", "1"))
 SHIFT_CASES = (("sin", "35", "0.11"), ("cos", "89", "-0.2"))
 RULE_SCALES = (20, 60, 200, 400, SAMPLED_RULE_SCALE)
-RULE_XFAILS = {("cos-diff", 200), ("cos-diff", 400), ("sin-diff", 400), ("cos", 200), ("cos", 400),
-               ("cos-diff", SAMPLED_RULE_SCALE), ("sin-diff", SAMPLED_RULE_SCALE),
-               ("cos", SAMPLED_RULE_SCALE)}
 
 
-def rule_params(cases):
-    return [pytest.param(*case, scale, marks=ITEM_8) if (case[0], scale) in RULE_XFAILS
-            else (*case, scale) for case in cases for scale in RULE_SCALES]
-
-
-@pytest.mark.parametrize("rule, x, y, scale", rule_params(ADDRULE_CASES))
+@pytest.mark.parametrize("scale", RULE_SCALES)
+@pytest.mark.parametrize("rule, x, y", ADDRULE_CASES)
 def test_addrule_prints_the_truncation_of_its_rule(rule, x, y, scale, capsys):
     tx, ty = cli_degrees_angle(x, scale), cli_degrees_angle(y, scale)
     theta = tx + ty if rule.endswith("sum") else tx - ty
@@ -298,7 +291,8 @@ def test_addrule_prints_the_truncation_of_its_rule(rule, x, y, scale, capsys):
     assert printed(capsys, argv) == truncation(rule[:3], theta, scale)
 
 
-@pytest.mark.parametrize("fn, u, h, scale", rule_params(SHIFT_CASES))
+@pytest.mark.parametrize("scale", RULE_SCALES)
+@pytest.mark.parametrize("fn, u, h", SHIFT_CASES)
 def test_shift_prints_the_truncation_of_the_three_term_formula(fn, u, h, scale, capsys):
     # a + h*b - h**2/2 * a, with (a, b) = (sin u, cos u) or (cos u, -sin u),
     # bracketed from the oracle's ends; |h| <= 0.5 keeps 1 - h**2/2 positive

@@ -1,6 +1,7 @@
 """Trig series: the coefficient identities and the nested loop against
-an exact-rational model, table invariants, shift-formula error order,
-angle-addition identities."""
+an exact-rational model, the sine-cosine pair against the Taylor
+bracket, table invariants, shift-formula error order, angle-addition
+identities."""
 
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ from math import factorial
 
 import pytest
 
+from madhava import trig_series
 from madhava.bigfixed import (
     BigNat,
     FixedDec,
@@ -39,10 +41,11 @@ from madhava.trig_series import (
     sin_series,
     sin_sq_series,
     sin_terms_for,
+    table_degrees,
     taylor_shift,
     theta_t,
 )
-from conftest import as_fraction, trig_floor
+from conftest import as_fraction, machin_pi_floor, taylor_bracket, trig_floor
 
 
 def ulp(scale):
@@ -143,10 +146,9 @@ class TestSinCos:
 
     @pytest.mark.parametrize("u", ("1.570796", "-1.570796", "1.5", "1.2"))
     def test_pair_cos_within_one_ulp(self, u):
-        # the pair's cos sums one term more than its sin: with the sine's
-        # count, cos 1.570796 at ws 30 is 7 ulp from the floor
+        # the pair's cos sums one term more than its sin
         ws = 30
-        _, c = _sin_cos(fd_from_string(u), ws, sin_terms_for(ws))
+        _, c = _sin_cos(fd_from_string(u), ws)
         assert abs(c.sign * c.mantissa.to_int() - trig_floor("cos", Fraction(u), ws)) <= 1
 
     def test_pythagorean_random(self):
@@ -160,6 +162,44 @@ class TestSinCos:
             c = cos_series(theta, terms, scale)
             total = as_fraction(s) ** 2 + as_fraction(c) ** 2
             assert abs(total - one) <= 10 * ulp(scale)
+
+
+class TestSinCosPair:
+    """_sin_cos's nested loop against the plain-integer Taylor bracket,
+    for angles up to pi/2 floored at ws."""
+
+    @staticmethod
+    def angles(ws):
+        half_pi = machin_pi_floor(ws) // 2  # floor(pi/2 * 10**ws)
+        return [FixedDec(sign, m, ws) for m in (0, 10 ** (ws - 3), 10**ws // 2, 10**ws, half_pi)
+                for sign in (1, -1)]
+
+    @staticmethod
+    def within_two_ulp(value, fn, u, ws):
+        lo, hi = taylor_bracket(as_fraction(u), fn, ws + 30)
+        got = value.sign * value.mantissa.to_int() * 10**30
+        return value.scale == ws and lo - 2 * 10**30 <= got <= hi + 2 * 10**30
+
+    @pytest.mark.parametrize("ws", (10, 40, 200, 1000))
+    @pytest.mark.parametrize("guard", (GUARD, 1))
+    def test_within_two_ulp_of_the_bracket(self, ws, guard, monkeypatch):
+        monkeypatch.setattr(trig_series, "GUARD", guard)
+        for u in self.angles(ws):
+            s, c = _sin_cos(u, ws)
+            assert self.within_two_ulp(s, "sin", u, ws), (str(u), "sin")
+            assert self.within_two_ulp(c, "cos", u, ws), (str(u), "cos")
+            assert s.sign == u.sign and c.sign == 1
+            assert s.is_zero() == u.is_zero()
+
+    @pytest.mark.parametrize("scale", (10, 40, 200, 1000))
+    def test_table_step_count(self, scale, monkeypatch):
+        # the table's h, theta_t of 3.75 degrees, is below 0.066 rad
+        ws = scale + GUARD
+        calls = []
+        monkeypatch.setattr(trig_series, "sin_terms_for",
+                            lambda *args: calls.append(args) or sin_terms_for(*args))
+        _sin_cos(theta_t(table_degrees(1), scale), ws)
+        assert calls == [(ws + GUARD, 66)]
 
 
 class TestSinSquared:

@@ -47,7 +47,6 @@ from madhava.pi_series import (  # noqa: E402
     corrections_for,
 )
 from madhava.trig_series import (  # noqa: E402
-    _TABLE_STEP_MILLI,
     SINE_TABLE_SIZE,
     TRIG_TERM_CAP,
     sin_terms_for,
@@ -90,8 +89,10 @@ def cases() -> list[Case]:
     summed = limbs(SCALE_CAP + BOUND_DIGITS)  # pi and converge terms
     nested = limbs(SCALE_CAP + GUARD)  # trig eval's series
     series = limbs(SCALE_CAP + 2 * GUARD)  # table, shift and addrule series
-    table_terms = sin_terms_for(SCALE_CAP + 2 * GUARD, _TABLE_STEP_MILLI)
-    rule_terms = sin_terms_for(SCALE_CAP + GUARD)
+    # _sin_cos's count at its working scale, for the table's h (below
+    # 0.066 rad) and for the rules' angles (up to pi/2)
+    table_terms = sin_terms_for(SCALE_CAP + 2 * GUARD, 66)
+    rule_terms = sin_terms_for(SCALE_CAP + 2 * GUARD, 1571)
     modes = sum(len(corrections_for(s)) for s in SERIES_IDS)
     swept = n * (n + 1) // 2
 
