@@ -19,16 +19,17 @@ here; no float ever touches a computation path.
 
 Operands range from a few limbs to a few thousand digits (``--scale``
 goes up to 2000, and a 1000-digit pi multiplies and divides 1000-digit
-mantissas).  The linear operations (add, subtract, compare, division by
-one limb, decimal down-shift) run as limb loops, and add and subtract
-stop where the shorter operand and its carry end, copying the longer
-operand's high limbs as one slice; the quadratic ones
+mantissas).  The linear ``BigNat`` operations (add, subtract, compare,
+division by one limb, decimal down-shift) run as limb loops, and add
+and subtract stop where the shorter operand and its carry end, copying
+the longer operand's high limbs as one slice; the quadratic ones
 (multi-limb division, products, decimal up-shift, the integer square
 root) convert to Python ``int`` and back, since CPython does those
-textbook algorithms in C.  The series kernels keep their divisors to one
-limb where they can.  All values are immutable after construction and
-every operation is a pure function, so everything here is safe to share
-across threads.
+textbook algorithms in C.  A ``FixedDec`` value comparison aligns its
+operands' scales as Python ``int`` and builds no ``BigNat``.  The series
+kernels keep their divisors to one limb where they can.  All values are
+immutable after construction and every operation is a pure function, so
+everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -119,16 +120,6 @@ def _divrem_small(a: tuple[int, ...], d: int) -> tuple[list[int], int]:
         out[i] = cur // d
         rem = cur - out[i] * d
     return out, rem
-
-
-def _divrem_limbs(a: tuple[int, ...], b: tuple[int, ...]) -> tuple["BigNat", "BigNat"]:
-    """Floor quotient and remainder.  Requires b nonzero.  A one-limb
-    divisor runs the linear limb loop; a longer one goes through int."""
-    if len(b) == 1:
-        q, r = _divrem_small(a, b[0])
-        return BigNat(q), BigNat([r])
-    q, r = divmod(BigNat(a).to_int(), BigNat(b).to_int())
-    return BigNat.from_int(q), BigNat.from_int(r)
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +213,15 @@ class BigNat:
         return BigNat.from_int(self.to_int() * other.to_int())
 
     def __divmod__(self, other: "BigNat") -> tuple["BigNat", "BigNat"]:
+        """Floor quotient and remainder.  A one-limb divisor runs the
+        linear limb loop; a longer one goes through int."""
         if other.is_zero():
             raise ZeroDivisionError("BigNat division by zero")
-        return _divrem_limbs(self.limbs, other.limbs)
+        if len(other.limbs) == 1:
+            q, r = _divrem_small(self.limbs, other.limbs[0])
+            return BigNat(q), BigNat([r])
+        q, r = divmod(self.to_int(), other.to_int())
+        return BigNat.from_int(q), BigNat.from_int(r)
 
     def __floordiv__(self, other: "BigNat") -> "BigNat":
         return divmod(self, other)[0]
@@ -311,12 +308,9 @@ class FixedDec:
     # value comparison (scales may differ; alignment is exact) ---------------
 
     def _cmp(self, other: "FixedDec") -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
         s = max(self.scale, other.scale)
-        ma = self.mantissa.shift10(s - self.scale)
-        mb = other.mantissa.shift10(s - other.scale)
-        return ma._cmp(mb) * self.sign
+        a, b = (x.sign * x.mantissa.to_int() * 10 ** (s - x.scale) for x in (self, other))
+        return (a > b) - (a < b)
 
     def __eq__(self, other):
         return isinstance(other, FixedDec) and self._cmp(other) == 0

@@ -25,22 +25,12 @@ parsed, as FixedDec of at most SCALE_CAP digits.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from math import factorial
 from typing import NamedTuple
 
-from .bigfixed import (
-    FixedDec,
-    fd_add,
-    fd_divn,
-    fd_from_string,
-    fd_mul,
-    fd_rescale,
-    fd_sub,
-    fd_to_string,
-)
+from .bigfixed import FixedDec, fd_from_string, fd_rescale, fd_sub, fd_to_string
 from .chronology import venvaroha_epoch_check
 from .geometry import circumradius
 from .pi_series import (
@@ -128,18 +118,19 @@ def _check_epoch() -> VerifyCheck:
 
 def _sine_sum(x: FixedDec, terms: int, scale: int) -> FixedDec:
     """sum_{k < terms} (-1)**k * x**(2k+1) / (2k+1)!, term by term, each
-    power and each quotient truncated at scale: a plain loop that shares
-    no code with trig_series._power_series, which nests."""
+    power and each quotient of |x| floored at scale and the sign of x
+    applied at the end: a plain int loop that shares no code with
+    trig_series._power_series, which nests."""
     xw = fd_rescale(x, scale)
-    x2 = fd_mul(xw, xw)
-    acc = FixedDec.from_int(0, scale)
-    power = xw
+    unit = 10**scale
+    power = xw.mantissa.to_int()
+    x2 = power * power // unit
+    acc = 0
     for k in range(terms):
-        term = fd_divn(power, factorial(2 * k + 1))
-        acc = fd_add(acc, -term if k % 2 else term)
-        if k + 1 < terms:
-            power = fd_mul(power, x2)
-    return acc
+        term = power // factorial(2 * k + 1)
+        acc += -term if k % 2 else term
+        power = power * x2 // unit
+    return FixedDec(-xw.sign if acc < 0 else xw.sign, abs(acc), scale)
 
 
 def _check_sine_table() -> VerifyCheck:
@@ -201,6 +192,8 @@ def cmd_pi(args) -> int:
     value = fd_to_string(result.value)
     bound = None if result.error_bound is None else fd_to_string(result.error_bound)
     if args.format == "json":
+        import json
+
         payload = {
             "series": args.series,
             "correction": args.correction,
@@ -221,6 +214,8 @@ def cmd_verify(args) -> int:
     checks = build_verify_report()
     passed = all(c.passed for c in checks)
     if args.format == "json":
+        import json
+
         payload = {
             "checks": [
                 {"name": c.name, "expected": c.expected, "computed": c.computed,
@@ -308,6 +303,8 @@ def cmd_quad_radius(args) -> int:
 def cmd_chrono_check(args) -> int:
     rep = venvaroha_epoch_check()
     if args.format == "json":
+        import json
+
         payload = {
             "jd": fd_to_string(rep.jd),
             "date": str(rep.date),

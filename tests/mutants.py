@@ -54,6 +54,11 @@ MUTANTS = (
            "    while carry and i < len(a):", "    while False:", (BIGFIXED,)),
     Mutant("sub-borrow-tail", "bigfixed.py",
            "    while borrow:", "    while False:", (BIGFIXED,)),
+    Mutant("divmod-two-limbs-small", "bigfixed.py",
+           "if len(other.limbs) == 1:", "if len(other.limbs) <= 2:", (BIGFIXED,)),
+    Mutant("compare-unaligned", "bigfixed.py",
+           "x.sign * x.mantissa.to_int() * 10 ** (s - x.scale)", "x.sign * x.mantissa.to_int()",
+           (BIGFIXED,)),
     Mutant("floor-int-truncates", "bigfixed.py",
            "return a.sign * a.mantissa.to_int() // 10**a.scale",
            "return a.sign * (a.mantissa.to_int() // 10**a.scale)", (BIGFIXED,)),
@@ -142,8 +147,7 @@ MUTANTS = (
            "passed = all(c.passed for c in checks)", "passed = any(c.passed for c in checks)",
            (CLI,)),
     Mutant("odd-power-sign-flipped", "cli.py",
-           "acc = fd_add(acc, -term if k % 2 else term)",
-           "acc = fd_add(acc, term if k % 2 else -term)", (CLI,)),
+           "acc += -term if k % 2 else term", "acc += term if k % 2 else -term", (CLI,)),
     Mutant("verify-angle-narrowed", "cli.py",
            "theta_t(table_degrees(k), 20)", "theta_t(table_degrees(k), 10)", (TRIG_ORACLE,)),
 )

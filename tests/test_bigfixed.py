@@ -2,6 +2,7 @@
 contracts, string round trips."""
 
 import math
+import operator
 import random
 
 import pytest
@@ -331,6 +332,22 @@ class TestFixedDec:
         assert fd_from_string("0.50") == fd_from_string("0.5000")
         assert fd_from_string("0.5") < fd_from_string("0.51")
         assert fd_from_string("-0.5") < fd_from_string("0.1")
+        # every pair of the five comparisons against Fraction: zero, two
+        # negatives, equal values and one-ulp neighbours at scales 0 to 40
+        # apart, and random values
+        rng = random.Random(29)
+        values = [fd_from_string(s) for s in ("0", "-0.5", "-12", "12", "0.5")]
+        for v in list(values):
+            for k in (1, 17, 40):
+                values.append(fd_rescale(v, v.scale + k))
+                values.append(fd_add(values[-1], FixedDec(1, 1, v.scale + k)))
+        for _ in range(40):
+            values.append(FixedDec(rng.choice((1, -1)), rand_nat(rng, 50), rng.randrange(41)))
+        ops = (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+        for a in values:
+            for b in values:
+                fa, fb = as_fraction(a), as_fraction(b)
+                assert [op(a, b) for op in ops] == [op(fa, fb) for op in ops], (a, b)
 
 
 def half_away(q: Fraction, scale: int) -> Fraction:

@@ -3,12 +3,16 @@
 pi_reference and build_sine_table decide every digit they return
 through bigfixed.settled and widen by GUARD digits until it answers, so
 any GUARD >= 1 must give the bytes that the shipped GUARD = 10 gives.
-GUARD is moved in every module that binds it, and the pi memo is
-cleared around each run, so nothing computed at one GUARD is read at
-another.
+The same holds for what ``pi`` and ``converge`` print: BOUND_DIGITS,
+not GUARD, sets every printed series digit, and the errors converge
+prints are taken against pi_reference.  GUARD is moved in every module
+that binds it, and the pi memo is cleared around each run, so nothing
+computed at one GUARD is read at another.
 """
 
+import io
 import sys
+from contextlib import contextmanager, redirect_stdout
 from functools import cache
 
 import pytest
@@ -24,16 +28,42 @@ PI_SCALES = (*range(61), 500, 2000)
 TABLE_SCALES = (10, 47, 141, 200)
 
 
-def settled_digits(guard: int, table_scales: tuple[int, ...]) -> tuple[list[str], list[str]]:
+CLI_RUNS = (
+    ("pi", "--series", "sqrt12", "--terms", "10", "--digits", "12"),
+    ("pi", "--series", "sqrt12", "--terms", "120", "--digits", "60"),
+    *(("pi", "--series", "leibniz", "--terms", "50", "--correction", c) for c in ("f1", "f2", "f3")),
+    ("converge", "--series", "leibniz,sqrt12", "--corrections", "all", "--n-max", "20"),
+)
+
+
+@contextmanager
+def guard_at(guard: int):
     with pytest.MonkeyPatch.context() as patch:
         for module in BINDERS:
             patch.setattr(module, "GUARD", guard)
         pi_reference.cache_clear()
         try:
-            return ([str(pi_reference(s)) for s in PI_SCALES],
-                    [str(v) for s in table_scales for _, v in build_sine_table(s)])
+            yield
         finally:
             pi_reference.cache_clear()
+
+
+def settled_digits(guard: int, table_scales: tuple[int, ...]) -> tuple[list[str], list[str]]:
+    with guard_at(guard):
+        return ([str(pi_reference(s)) for s in PI_SCALES],
+                [str(v) for s in table_scales for _, v in build_sine_table(s)])
+
+
+@cache
+def cli_stdout(guard: int) -> list[str]:
+    out = []
+    with guard_at(guard):
+        for argv in CLI_RUNS:
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert madhava.cli.main(list(argv)) == 0
+            out.append(buf.getvalue())
+    return out
 
 
 @cache
@@ -49,3 +79,8 @@ def test_every_binder_is_moved():
     (1, TABLE_SCALES), (2, TABLE_SCALES), (5, (*TABLE_SCALES, 1000)), (30, (*TABLE_SCALES, 1000))])
 def test_settled_digits_do_not_depend_on_guard(guard, table_scales):
     assert settled_digits(guard, table_scales) == shipped(table_scales)
+
+
+@pytest.mark.parametrize("guard", (1, 2, 5, 30))
+def test_pi_and_converge_stdout_do_not_depend_on_guard(guard):
+    assert cli_stdout(guard) == cli_stdout(10)

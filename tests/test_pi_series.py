@@ -12,8 +12,8 @@ from math import isqrt
 
 import pytest
 
-from madhava import bigfixed, pi_series
-from madhava.bigfixed import FixedDec, fd_rescale, fd_to_string
+from madhava import pi_series
+from madhava.bigfixed import BigNat, FixedDec, fd_rescale, fd_to_string
 from madhava.pi_series import (
     AUX_A,
     AUX_B,
@@ -129,15 +129,15 @@ def parts(x):
 
 @pytest.fixture
 def divisor_limbs(monkeypatch):
-    """The limb count of every divisor bigfixed._divrem_limbs sees."""
+    """The limb count of every divisor BigNat.__divmod__ sees."""
     log = []
-    divrem = bigfixed._divrem_limbs
+    divmod_ = BigNat.__divmod__
 
-    def recording(a, b):
-        log.append(len(b))
-        return divrem(a, b)
+    def recording(self, other):
+        log.append(len(other.limbs))
+        return divmod_(self, other)
 
-    monkeypatch.setattr(bigfixed, "_divrem_limbs", recording)
+    monkeypatch.setattr(BigNat, "__divmod__", recording)
     return log
 
 
@@ -228,16 +228,8 @@ class TestSqrt12Kernel:
         for n in (1, 2, terms_for_digits(SQRT12, scale), past_zero):
             assert parts(pi_sqrt12(n, scale)) == (sqrt12_oracle(n, scale), scale)
 
-    def test_divides_by_one_limb_only(self, monkeypatch):
+    def test_divides_by_one_limb_only(self, divisor_limbs):
         # a full-denominator division would cost O(scale**2) per term
-        divisor_limbs = []
-        divrem = bigfixed._divrem_limbs
-
-        def recording(a, b):
-            divisor_limbs.append(len(b))
-            return divrem(a, b)
-
-        monkeypatch.setattr(bigfixed, "_divrem_limbs", recording)
         _partial_sum(SERIES[SQRT12], 1300, 620)
         assert len(divisor_limbs) >= 1300
         assert set(divisor_limbs) == {1}
