@@ -40,6 +40,8 @@ from typing import Callable
 
 BASE = 10**9
 LIMB_DIGITS = 9
+# Digits a kernel starts past its scale, and each widen_until_settled retry adds
+GUARD = 10
 
 
 class ScaleMismatchError(ValueError):
@@ -412,6 +414,21 @@ def settled(lo: FixedDec, hi: FixedDec, scale: int,
     test.  On None the caller widens its interval and asks again."""
     low, high = rounding(lo, scale), rounding(hi, scale)
     return low if low == high else None
+
+
+def widen_until_settled(bracket: Callable[[int], tuple[FixedDec, FixedDec]], scale: int,
+                        start: int, rounding: Callable[[FixedDec, int], FixedDec] = fd_rescale,
+                        fallback: Callable[[], FixedDec] | None = None) -> FixedDec:
+    """The value settled reads at scale off bracket(ws), two ends around
+    it, for ws = start, start + GUARD, ... until they agree.  With a
+    fallback, fallback() once a widened bracket has also failed, for a
+    value (a terminating decimal) that no widening separates."""
+    ws = start
+    while (value := settled(*bracket(ws), scale, rounding)) is None:
+        if fallback is not None and ws > start:
+            return fallback()
+        ws += GUARD
+    return value
 
 
 def fd_isqrt(a: FixedDec, scale: int) -> FixedDec:

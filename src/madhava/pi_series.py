@@ -37,22 +37,14 @@ each bit-identical to ``leibniz_partial`` / ``leibniz_corrected``.
 ``pi_reference`` is the one source of pi, computed once per scale and
 memoised; every module that needs pi reads it.  It does not use the
 truncated kernel: it brackets pi between sqrt(12) times two consecutive
-exact sqrt12 partial sums, held as integers, and returns the floor both
-ends share, as ``bigfixed.settled`` decides.
+exact sqrt12 partial sums, held as integers.
 
-Numerical contract: a call with working scale s sums reciprocals that are
-individually truncated at s, so the result carries the analytic series
-error plus a truncation drift: each term loses under 10**-s, alternating
-signs cancel about half of that, and the multiplier scales the rest, so
-sqrt12 drifts by at most (1.74n + 4) * 10**-s (``error_bound`` reports
-only n + 4).  ``evaluate_digits`` holds the printed convention: d digits
-are computed at s = d + BOUND_DIGITS, the value truncated to d and the
-bound printed at s.
-
-Two constants of the same value say different things.  BOUND_DIGITS is
-part of what ``pi`` prints.  GUARD is only where a kernel starts and how
-far a settle retry widens: ``pi_reference`` prints the same digits for
-any GUARD >= 1.
+Numerical contract: the kernel floors each term at its working scale;
+``_value_bracket`` bounds the drift from m times the exact sum S.
+``evaluate_digits``, behind ``pi`` and ``converge``, returns floor(m * S
+* 10**d) off bigfixed.widen_until_settled.  BOUND_DIGITS sets only the
+printed bound, at d + BOUND_DIGITS (``error_bound`` counts n + 4 ulp of
+drift); GUARD sets only where a try starts, and no printed digit.
 
 The leading constants in aux-a (3/4) and aux-d (1/2) are always included
 and never counted in n.  Term denominators are constructed as exact
@@ -69,6 +61,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .bigfixed import (
     BASE,
+    GUARD,
     BigNat,
     FixedDec,
     fd_add,
@@ -76,9 +69,9 @@ from .bigfixed import (
     fd_from_ratio,
     fd_isqrt,
     fd_mul,
-    fd_rescale,
     fd_round,
-    settled,
+    fd_sub,
+    widen_until_settled,
 )
 
 LEIBNIZ = "leibniz"
@@ -93,12 +86,8 @@ F1 = "f1"
 F2 = "f2"
 F3 = "f3"
 
-# Where the kernels start past the requested scale, and how many more
-# digits a settle retry asks for; no printed digit depends on it.
-GUARD = 10
-# The extra digits of pi's printed error bound: d digits are evaluated
-# at d + BOUND_DIGITS.  Until each value is proven by its own bracket,
-# this scale also carries the value's precision.
+# The extra digits of pi's printed error bound: the bound for d digits
+# is taken at d + BOUND_DIGITS.
 BOUND_DIGITS = 10
 
 
@@ -317,18 +306,14 @@ def pi_reference(scale: int) -> FixedDec:
     """pi truncated at the given scale, proven by an exact bracket.
 
     The sqrt12 terms alternate and shrink, so pi lies between sqrt(12)
-    times the exact partial sums S_n and S_{n+1}.  S_m is a plain integer
-    over common * 3**(m-1), common the lcm of the odd denominators, and
-    each end is floored at the scale by math.isqrt.  When settled finds
-    the two floors equal they are pi's; otherwise n becomes the analytic
-    bound's count for GUARD more digits and it retries, which ends
-    because pi is irrational.  The first n is that count two digits past
-    the request.  Memoised by scale, so every caller at one scale shares
-    one computation."""
+    times the exact partial sums S_n and S_{n+1}, n the analytic bound's
+    count for digits past the scale, from two past it.  S_m is a plain
+    integer over common * 3**(m-1), common the lcm of the odd
+    denominators, and each end is floored by math.isqrt.  The widening
+    ends because pi is irrational.  Memoised by scale."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
-    digits = scale + 2
-    while True:
+    def bracket(digits: int) -> list[FixedDec]:
         n = terms_for_digits(SQRT12, digits)
         common = math.lcm(*range(1, 2 * n + 2, 2))
         ends = []
@@ -340,10 +325,8 @@ def pi_reference(scale: int) -> FixedDec:
                 den = common * 3 ** (k - 1)
                 floor = math.isqrt(12 * acc * acc * 100**scale // (den * den))
                 ends.append(FixedDec(1, floor, scale))
-        pi = settled(*ends, scale)
-        if pi is not None:
-            return pi
-        digits += GUARD
+        return ends
+    return widen_until_settled(bracket, scale, scale + 2)
 
 
 def circumference_check() -> int:
@@ -410,10 +393,7 @@ def error_bound(series_id: str, n: int, scale: int, correction: str = NO_CORRECT
     return fd_add(analytic, FixedDec(1, n + 4, scale))
 
 
-def evaluate(series_id: str, terms: int, correction: str, scale: int) -> PiResult:
-    """One series, with its end-correction (Leibniz only), summed over
-    terms at the working scale.  Deterministic: equal arguments give
-    bit-identical results."""
+def _value(series_id: str, terms: int, correction: str, scale: int) -> FixedDec:
     if series_id not in SERIES_IDS:
         raise ValueError(f"unknown series id {series_id!r}")
     if terms < 1:
@@ -426,22 +406,60 @@ def evaluate(series_id: str, terms: int, correction: str, scale: int) -> PiResul
         raise ValueError("scale must be >= 1")
     if series_id == LEIBNIZ:
         if correction == NO_CORRECTION:
-            value = leibniz_partial(terms, scale)
-        else:
-            value = leibniz_corrected(terms, correction, scale)
-    elif series_id == SQRT12:
-        value = pi_sqrt12(terms, scale)
-    else:
-        value = aux_series(series_id, terms, scale)
-    return PiResult(value=value, error_bound=error_bound(series_id, terms, scale, correction))
+            return leibniz_partial(terms, scale)
+        return leibniz_corrected(terms, correction, scale)
+    if series_id == SQRT12:
+        return pi_sqrt12(terms, scale)
+    return aux_series(series_id, terms, scale)
+
+
+def evaluate(series_id: str, terms: int, correction: str, scale: int) -> PiResult:
+    """One series, with its end-correction (Leibniz only), summed over
+    terms at the working scale.  Deterministic: equal arguments give
+    bit-identical results."""
+    return PiResult(_value(series_id, terms, correction, scale),
+                    error_bound(series_id, terms, scale, correction))
+
+
+def _value_bracket(series_id: str, terms: int, correction: str,
+                   ws: int) -> tuple[FixedDec, FixedDec]:
+    """The kernel value V at ws -+ its drift from m * S, S the exact sum
+    with its signed correction and m the multiplier.  The kernel's sum S'
+    floors the n terms, the lead and the correction, so |S - S'| < n + 2
+    ulp, which m scales by at most ceil(m).  For sqrt12, S' <= 1 times the
+    floored root adds under one ulp, and the truncated product one more:
+    the drift is under ceil(m) * (n + 2) + 2 ulp."""
+    series = SERIES[series_id]
+    value = _value(series_id, terms, correction, ws)
+    ceil_m = math.isqrt(series.multiplier - 1) + 1 if series.root else series.multiplier
+    drift = FixedDec(1, ceil_m * (terms + 2) + 2, ws)
+    return fd_sub(value, drift), fd_add(value, drift)
+
+
+def _exact_floor(series_id: str, terms: int, correction: str, digits: int) -> FixedDec:
+    """floor(m * S * 10**digits) on plain ints: S > 0 summed over the lcm
+    of the term denominators, and a root multiplier's as an isqrt of squares."""
+    series = SERIES[series_id]
+    parts = [(1, *series.lead)] if series.lead else []
+    parts += [((-1) ** (k - 1) if series.alternating else 1, *series.exact_term(k))
+              for k in range(1, terms + 1)]
+    if correction != NO_CORRECTION:
+        parts.append(((-1) ** terms, *CORRECTION_TERMS[correction](terms)))
+    den = math.lcm(*(d for _, _, d in parts))
+    num = sum(sign * p * (den // d) for sign, p, d in parts) * 10**digits
+    floor = series.multiplier * num ** (1 + series.root) // den ** (1 + series.root)
+    return FixedDec(1, math.isqrt(floor) if series.root else floor, digits)
 
 
 def evaluate_digits(series_id: str, terms: int, correction: str, digits: int) -> PiResult:
-    """The printed convention in one place: evaluate at digits +
-    BOUND_DIGITS and truncate the value to digits; the bound stays at
-    that scale, as ``pi`` prints it."""
-    result = evaluate(series_id, terms, correction, digits + BOUND_DIGITS)
-    return result._replace(value=fd_rescale(result.value, digits))
+    """The printed convention in one place: floor(m * S * 10**digits) for
+    the exact n-term value m * S, read off _value_bracket from ws = digits
+    + GUARD, or _exact_floor when two brackets straddle (leibniz's 4 at
+    n = 1).  The bound is taken once, at digits + BOUND_DIGITS."""
+    value = widen_until_settled(
+        lambda ws: _value_bracket(series_id, terms, correction, ws), digits, digits + GUARD,
+        fallback=lambda: _exact_floor(series_id, terms, correction, digits))
+    return PiResult(value, error_bound(series_id, terms, digits + BOUND_DIGITS, correction))
 
 
 def _check_terms(n: int) -> None:

@@ -19,11 +19,9 @@ full_domain_terms(digits, fn) is the term count for that domain; the
 cosine sums one term more than the sine, as in _sin_cos.
 
 The sine table runs the second-difference rule s_{k+1} = 2 cos(h) s_k -
-s_{k-1} over h = 3.75 degrees from one sin h and one cos h.  Where
-bigfixed.settled finds that an entry's drift bound reaches a rounding
-tie, the rule is rerun for that entry alone at GUARD more digits until
-the bound clears it, so the table prints the same digits for any
-GUARD >= 1.
+s_{k-1} over h = 3.75 degrees from one sin h and one cos h, and reads
+each entry off bigfixed.widen_until_settled, so it prints the same
+digits for any GUARD >= 1.
 
 Every public operation takes a target scale and truncates its result to
 it.  GUARD says only where the kernels start: the series work at
@@ -40,6 +38,7 @@ from math import factorial
 from typing import Callable
 
 from .bigfixed import (
+    GUARD,
     FixedDec,
     fd_add,
     fd_divn,
@@ -48,9 +47,9 @@ from .bigfixed import (
     fd_rescale,
     fd_round,
     fd_sub,
-    settled,
+    widen_until_settled,
 )
-from .pi_series import GUARD, pi_reference
+from .pi_series import pi_reference
 
 SIN = "sin"
 COS = "cos"
@@ -176,26 +175,22 @@ def build_sine_table(scale: int) -> tuple[tuple[int, FixedDec], ...]:
 
     Entry k is the second-difference sine s_k rounded half-away at the
     table scale, so the exact grid points (30 and 90 degrees) land on 0.5
-    and 1.  Where s_k +- _drift_ulp(k) do not settle to one rounding,
-    the recurrence is rerun for entry k alone with step theta_k / k,
-    GUARD more digits at a time, until they do; sin(theta_k) of a
-    nonzero rational theta_k is never a tie, so the loop ends.
+    and 1.  Its bracket is s_k +- _drift_ulp(k): first off the shared
+    recurrence, then, GUARD digits wider each time, off the recurrence
+    for entry k alone with step theta_k / k.  sin(theta_k) of a nonzero
+    rational theta_k is never a tie, so the widening ends.
     """
     if scale < 10:
         raise ValueError("sine table needs scale >= 10")
-    h = theta_t(table_degrees(1), scale)
-    entries = []
-    for k, value in enumerate(_second_difference_sines(h, SINE_TABLE_SIZE, scale + GUARD)[1:], 1):
-        while True:
-            drift = FixedDec(1, _drift_ulp(k), value.scale)
-            entry = settled(fd_sub(value, drift), fd_add(value, drift), scale, fd_round)
-            if entry is not None:
-                break
-            ws = value.scale + GUARD
-            theta = theta_t(table_degrees(k), scale)
-            value = _second_difference_sines(fd_divn(theta, k, ws), k, ws)[k]
-        entries.append((k, entry))
-    return tuple(entries)
+    start = scale + GUARD
+    shared = _second_difference_sines(theta_t(table_degrees(1), scale), SINE_TABLE_SIZE, start)
+    def bracket(k: int, ws: int) -> tuple[FixedDec, FixedDec]:
+        value = shared[k] if ws == start else _second_difference_sines(
+            fd_divn(theta_t(table_degrees(k), scale), k, ws), k, ws)[k]
+        drift = FixedDec(1, _drift_ulp(k), ws)
+        return fd_sub(value, drift), fd_add(value, drift)
+    return tuple((k, widen_until_settled(lambda ws: bracket(k, ws), scale, start, fd_round))
+                 for k in range(1, SINE_TABLE_SIZE + 1))
 
 
 def _second_difference_sines(h: FixedDec, count: int, ws: int) -> list[FixedDec]:

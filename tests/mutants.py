@@ -9,11 +9,13 @@ applies the replacement in the copy, and runs pytest on those files with
 PYTHONPATH on the copy; a mutant is killed when a test fails.  First it
 runs the same files on an unmutated copy, which must pass.
 
-The script exits 1 if a snippet no longer occurs exactly once (a
-refactor must update its entry), if the unmutated copy fails, or if a
-mutant survives.  A survivor means a test is missing: add the test,
-never drop or weaken the mutant.  pytest does not collect this file, as
-its name does not match test_*.py.
+Each pytest run is stopped after TIMEOUT_S seconds, and a mutant that
+makes a test hang counts as not killed, so a hang fails the script
+instead of stalling it.  The script exits 1 if a snippet no longer
+occurs exactly once (a refactor must update its entry), if the
+unmutated copy fails, or if a mutant survives.  A survivor means a test
+is missing: add the test, never drop or weaken the mutant.  pytest does
+not collect this file, as its name does not match test_*.py.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src") / "madhava"
+TIMEOUT_S = 600
 
 BIGFIXED = "tests/test_bigfixed.py"
 PI_SERIES = "tests/test_pi_series.py"
@@ -75,6 +78,8 @@ MUTANTS = (
     Mutant("settled-reads-lo", "bigfixed.py",
            "low, high = rounding(lo, scale), rounding(hi, scale)",
            "low, high = rounding(lo, scale), rounding(lo, scale)", (PI_SERIES, TRIG_ORACLE, GUARD)),
+    # the widening driver: its own tests stop a step-0 driver, which never ends
+    Mutant("widen-step-zero", "bigfixed.py", "ws += GUARD", "ws += 0", (BIGFIXED,)),
     # series kernels
     Mutant("pending-never-resets", "pi_series.py",
            "            scaled //= BigNat.from_int(pending)\n            pending = 1\n",
@@ -86,13 +91,17 @@ MUTANTS = (
            "return series.multiplier * (num * p) ** power < den**power",
            "return series.multiplier * (num * p) ** power <= den**power", (PI_SERIES,)),
     Mutant("pi-bracket-unchecked", "pi_series.py",
-           "pi = settled(*ends, scale)", "pi = ends[0]", (PI_SERIES,)),
+           "        return ends\n", "        return ends[0], ends[0]\n", (PI_SERIES,)),
     Mutant("correction-sign-flipped", "pi_series.py",
            "s = fd_add(partial, corr if n % 2 == 0 else -corr)",
            "s = fd_add(partial, -corr if n % 2 == 0 else corr)", (PI_SERIES,)),
-    Mutant("evaluate-digits-no-guard", "pi_series.py",
-           "evaluate(series_id, terms, correction, digits + BOUND_DIGITS)",
-           "evaluate(series_id, terms, correction, digits)", (PI_SERIES,)),
+    Mutant("value-drift-zero", "pi_series.py",
+           "drift = FixedDec(1, ceil_m * (terms + 2) + 2, ws)", "drift = FixedDec(1, 0, ws)",
+           (PI_SERIES,)),
+    # never falling back hangs on a terminating value; the straddle test stops it first
+    Mutant("fallback-never", "pi_series.py",
+           "fallback=lambda: _exact_floor(series_id, terms, correction, digits))", "fallback=None)",
+           (PI_SERIES,)),
     Mutant("evaluate-admits-any-correction", "pi_series.py",
            "    if correction not in corrections_for(series_id):\n"
            "        raise ValueError(\"corrections apply to the leibniz series only\")\n",
@@ -124,7 +133,7 @@ MUTANTS = (
     Mutant("drift-margin-linear", "trig_series.py",
            "return 3 * k * k", "return 3 * k", (TRIG_ORACLE,)),
     Mutant("tie-fallback-never", "trig_series.py",
-           "FixedDec(1, _drift_ulp(k), value.scale)", "FixedDec(1, 0 * _drift_ulp(k), value.scale)",
+           "FixedDec(1, _drift_ulp(k), ws)", "FixedDec(1, 0 * _drift_ulp(k), ws)",
            (TRIG_ORACLE,)),
     Mutant("full-domain-half-pi", "trig_series.py",
            "sin_terms_for(digits, 3142)", "sin_terms_for(digits, 1571)", (TRIG_ORACLE, CLI)),
@@ -153,12 +162,16 @@ MUTANTS = (
 )
 
 
-def pytest_exit(src: Path, tests: tuple[str, ...]) -> tuple[int, str]:
+def pytest_exit(src: Path, tests: tuple[str, ...]) -> tuple[int | None, str]:
     """pytest's exit code and output for the test files, importing
-    madhava from src."""
+    madhava from src; None when the run timed out."""
     env = dict(os.environ, PYTHONPATH=str(src))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+                              timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None, f"pytest ran past the {TIMEOUT_S} s timeout"
     return proc.returncode, proc.stdout + proc.stderr
 
 
@@ -195,7 +208,8 @@ def main() -> int:
             path.write_text(path.read_text(encoding="utf-8").replace(m.snippet, m.replacement),
                             encoding="utf-8")
             code, out = pytest_exit(src, m.tests)
-            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            verdict = {0: "SURVIVED", 1: "killed", None: "TIMED OUT"}.get(
+                code, f"error (pytest exit {code})")
             print(f"{m.name:32} {verdict:10} {time.perf_counter() - start:5.1f} s", flush=True)
             if code != 1:
                 survivors.append(m.name)

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from madhava.bigfixed import (
     BASE,
+    GUARD,
     BigNat,
     FixedDec,
     ScaleMismatchError,
@@ -25,6 +26,7 @@ from madhava.bigfixed import (
     fd_sub,
     fd_to_string,
     settled,
+    widen_until_settled,
 )
 from conftest import as_fraction
 
@@ -387,6 +389,43 @@ class TestSettled:
                 assert got is None
             else:
                 assert got.scale == scale and {as_fraction(got)} == want
+
+
+class TestWidenUntilSettled:
+    @staticmethod
+    def recording(ends):
+        """A bracket that records each ws it is asked for, and refuses a
+        fifth call, so a driver that does not widen fails, not hangs."""
+        seen = []
+
+        def bracket(ws):
+            seen.append(ws)
+            assert len(seen) <= 4, f"asked for {seen}: the driver does not widen"
+            return ends(ws)
+
+        return bracket, seen
+
+    @pytest.mark.parametrize("rounding, want", [(fd_rescale, "0.66"), (fd_round, "0.67")])
+    def test_widens_by_guard_until_the_ends_agree(self, rounding, want):
+        # 2/3 -+ 10**-(1 + retries): 0.1 and 0.01 straddle at scale 2, 0.001 settles
+        def ends(ws):
+            mid, half = 2 * 10**ws // 3, 10 ** (ws - 1 - (ws - 5) // GUARD)
+            return FixedDec(1, mid - half, ws), FixedDec(1, mid + half, ws)
+
+        bracket, seen = self.recording(ends)
+        assert fd_to_string(widen_until_settled(bracket, 2, 5, rounding)) == want
+        assert seen == [5, 5 + GUARD, 5 + 2 * GUARD]
+
+    def test_fallback_after_one_widening(self):
+        # the ends straddle 1/2, a rounding tie at scale 0, at every ws
+        def ends(ws):
+            half = FixedDec(1, 5 * 10 ** (ws - 1), ws)
+            return fd_sub(half, FixedDec(1, 1, ws)), half
+
+        bracket, seen = self.recording(ends)
+        got = widen_until_settled(bracket, 0, 3, fd_round, lambda: FixedDec.from_int(7))
+        assert fd_to_string(got) == "7"
+        assert seen == [3, 3 + GUARD]
 
 
 class TestLargeOperands:

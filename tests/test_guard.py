@@ -1,13 +1,16 @@
 """GUARD sets where a kernel starts, never a settled digit.
 
-pi_reference and build_sine_table decide every digit they return
-through bigfixed.settled and widen by GUARD digits until it answers, so
-any GUARD >= 1 must give the bytes that the shipped GUARD = 10 gives.
-The same holds for what ``pi`` and ``converge`` print: BOUND_DIGITS,
-not GUARD, sets every printed series digit, and the errors converge
-prints are taken against pi_reference.  GUARD is moved in every module
-that binds it, and the pi memo is cleared around each run, so nothing
-computed at one GUARD is read at another.
+pi_reference, build_sine_table and evaluate_digits decide every digit
+they return through bigfixed.widen_until_settled, which widens by GUARD
+digits until the two ends of a bracket agree, so any GUARD >= 1 must
+give the bytes that the shipped GUARD = 10 gives.  That covers what
+``pi`` and ``converge`` print: each series value is the exact floor
+whatever GUARD is, the four terminating values below (4, 3, 3.2 and
+3.2, which no widening separates) through evaluate_digits' exact
+fallback, and the errors converge prints are taken against
+pi_reference.  GUARD is moved in every module that binds it, and the
+pi memo is cleared around each run, so nothing computed at one GUARD is
+read at another.
 """
 
 import io
@@ -18,7 +21,7 @@ from functools import cache
 import pytest
 
 import madhava.cli  # imports every module of the package
-from madhava import pi_series, trig_series
+from madhava import bigfixed, pi_series, trig_series
 from madhava.pi_series import pi_reference
 from madhava.trig_series import build_sine_table
 
@@ -32,6 +35,9 @@ CLI_RUNS = (
     ("pi", "--series", "sqrt12", "--terms", "10", "--digits", "12"),
     ("pi", "--series", "sqrt12", "--terms", "120", "--digits", "60"),
     *(("pi", "--series", "leibniz", "--terms", "50", "--correction", c) for c in ("f1", "f2", "f3")),
+    # terminating values: both tries straddle and the exact fallback runs
+    *(("pi", "--series", "leibniz", "--terms", "1", "--correction", c) for c in ("none", "f1", "f2")),
+    ("pi", "--series", "aux-c", "--terms", "1"),
     ("converge", "--series", "leibniz,sqrt12", "--corrections", "all", "--n-max", "20"),
 )
 
@@ -72,7 +78,7 @@ def shipped(table_scales: tuple[int, ...]) -> tuple[list[str], list[str]]:
 
 
 def test_every_binder_is_moved():
-    assert {pi_series, trig_series} <= set(BINDERS)
+    assert {bigfixed, pi_series, trig_series} <= set(BINDERS)
 
 
 @pytest.mark.parametrize("guard, table_scales", [

@@ -13,7 +13,7 @@ from math import isqrt
 import pytest
 
 from madhava import pi_series
-from madhava.bigfixed import BigNat, FixedDec, fd_rescale, fd_to_string
+from madhava.bigfixed import BigNat, FixedDec, fd_add, fd_rescale, fd_sub, fd_to_string
 from madhava.pi_series import (
     AUX_A,
     AUX_B,
@@ -24,6 +24,7 @@ from madhava.pi_series import (
     F1,
     F2,
     F3,
+    GUARD,
     LEIBNIZ,
     MADHAVA_CIRCUMFERENCE,
     NO_CORRECTION,
@@ -33,6 +34,7 @@ from madhava.pi_series import (
     SeriesDef,
     _partial_sum,
     _running_sums,
+    _value_bracket,
     TermCountError,
     aux_series,
     circumference_check,
@@ -526,12 +528,71 @@ EXACT_CORRECTIONS = {
     F2: lambda n: Fraction(n, 4 * n * n + 1),
     F3: lambda n: Fraction(n * n + 1, n * (4 * n * n + 5)),
 }
+# every series with its admitted corrections, as pi and converge print them
+PRINTED_MODES = [*((series_id, NO_CORRECTION) for series_id in SERIES_IDS),
+                 *((LEIBNIZ, correction) for correction in (F1, F2, F3))]
+
+
+def exact_sum(series_id, correction, n):
+    """The exact n-term partial sum plus its signed correction."""
+    _, lead, term = EXACT_SERIES[series_id]
+    s = lead + sum(term(k) for k in range(1, n + 1))
+    if correction != NO_CORRECTION:
+        s += (-1) ** n * EXACT_CORRECTIONS[correction](n)
+    return s
+
+
+def exact_floor(series_id, s, digits):
+    """floor(multiplier * s * 10**digits) for s > 0, by squares for sqrt12."""
+    multiplier = EXACT_SERIES[series_id][0]
+    if series_id == SQRT12:
+        return isqrt(int(multiplier * s * s * 10 ** (2 * digits)))
+    return int(multiplier * s * 10**digits)
 
 
 class TestEvaluateDigits:
-    @pytest.mark.parametrize("series_id, correction", [
-        *((series_id, NO_CORRECTION) for series_id in SERIES_IDS),
-        *((LEIBNIZ, correction) for correction in (F1, F2, F3))])
+    # first in the class: a driver that never falls back hangs on the
+    # terminating values in the tests below, and this test stops it first
+    @pytest.mark.parametrize("series_id, correction", PRINTED_MODES)
+    def test_two_straddled_brackets_fall_back_to_the_exact_floor(
+            self, series_id, correction, monkeypatch):
+        # a whole unit more on each end straddles every try, so each value
+        # takes the widening and then the exact fallback; a third bracket
+        # means the driver never falls back
+        bracket, seen = pi_series._value_bracket, []
+
+        def straddled(*args):
+            seen.append(args[-1])
+            assert len(seen) <= 2, "a third bracket: the fallback never ran"
+            lo, hi = bracket(*args)
+            one = FixedDec.from_int(1, lo.scale)
+            return fd_sub(lo, one), fd_add(hi, one)
+
+        monkeypatch.setattr(pi_series, "_value_bracket", straddled)
+        for n in (1, 2, 17, 60):
+            s = exact_sum(series_id, correction, n)
+            for digits in (0, 1, 12, 40):
+                seen.clear()
+                got = evaluate_digits(series_id, n, correction, digits).value
+                assert seen == [digits + GUARD, digits + 2 * GUARD]
+                want = exact_floor(series_id, s, digits)
+                assert (got.sign, got.mantissa.to_int(), got.scale) == (1, want, digits), (n, digits)
+
+    @pytest.mark.parametrize("series_id, correction", PRINTED_MODES)
+    def test_value_bracket_encloses_the_exact_value(self, series_id, correction):
+        # lo < multiplier * S < hi; sqrt12 compares squares, 12 * S**2
+        multiplier = EXACT_SERIES[series_id][0]
+        for n in (1, 2, 3, 17, 60, 200):
+            s = exact_sum(series_id, correction, n)
+            for ws in (11, 25, 50):
+                lo, hi = (as_fraction(end) for end in _value_bracket(series_id, n, correction, ws))
+                if series_id == SQRT12:
+                    square = multiplier * s * s
+                    assert hi > 0 and square < hi * hi and (lo <= 0 or lo * lo < square), (n, ws)
+                else:
+                    assert lo < multiplier * s < hi, (n, ws)
+
+    @pytest.mark.parametrize("series_id, correction", PRINTED_MODES)
     @pytest.mark.parametrize("digits", (1, 12, 40))
     def test_is_evaluate_at_bound_digits_truncated(self, series_id, correction, digits):
         def bits(x):
@@ -543,15 +604,13 @@ class TestEvaluateDigits:
             assert bits(got.value) == bits(fd_rescale(want.value, digits))
             assert bits(got.error_bound) == bits(want.error_bound)
 
-    @pytest.mark.parametrize("series_id, correction", [
-        *((series_id, NO_CORRECTION) for series_id in SERIES_IDS),
-        *((LEIBNIZ, correction) for correction in (F1, F2, F3))])
+    @pytest.mark.parametrize("series_id, correction", PRINTED_MODES)
     @pytest.mark.parametrize("digits", (1, 12, 40))
     def test_value_is_the_exact_floor(self, series_id, correction, digits):
         # the printed value is floor(multiplier * S * 10**digits) for the
         # exact Fraction partial sum S (plus the signed correction); the
         # terms are restated here from the series definitions
-        multiplier, lead, term = EXACT_SERIES[series_id]
+        _, lead, term = EXACT_SERIES[series_id]
         rng = random.Random(10)
         ns = sorted({1, 2, 3, 200, *(rng.randint(1, 200) for _ in range(12))})
         exact, k = lead, 0
@@ -562,10 +621,7 @@ class TestEvaluateDigits:
             s = exact
             if correction != NO_CORRECTION:
                 s += (-1) ** n * EXACT_CORRECTIONS[correction](n)
-            if series_id == SQRT12:
-                want = isqrt(int(multiplier * s * s * 10 ** (2 * digits)))
-            else:
-                want = int(multiplier * s * 10**digits)
+            want = exact_floor(series_id, s, digits)
             got = evaluate_digits(series_id, n, correction, digits).value
             assert (got.sign, got.mantissa.to_int(), got.scale) == (1, want, digits), n
 

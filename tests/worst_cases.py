@@ -37,11 +37,9 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from madhava.bigfixed import LIMB_DIGITS  # noqa: E402
+from madhava.bigfixed import GUARD, LIMB_DIGITS  # noqa: E402
 from madhava.pi_series import (  # noqa: E402
-    BOUND_DIGITS,
     DEFAULT_TERM_CAP,
-    GUARD,
     SCALE_CAP,
     SERIES_IDS,
     corrections_for,
@@ -86,7 +84,7 @@ class Case(NamedTuple):
 
 def cases() -> list[Case]:
     d, n = str(SCALE_CAP), n_max_edge()
-    summed = limbs(SCALE_CAP + BOUND_DIGITS)  # pi and converge terms
+    summed = limbs(SCALE_CAP + GUARD)  # pi and converge terms, at a value's first try
     nested = limbs(SCALE_CAP + GUARD)  # trig eval's series
     series = limbs(SCALE_CAP + 2 * GUARD)  # table, shift and addrule series
     # _sin_cos's count at its working scale, for the table's h (below
