@@ -15,7 +15,7 @@ circumference cross-check for a circle of diameter 9e11.
 
 Each series is one ``SeriesDef`` entry in ``SERIES`` (a constant
 numerator, the k-th denominator, an optional geometric ratio,
-multiplier, signs, lead constant, tail bound) that summation,
+multiplier, signs, a lead never counted in n, tail bound) that summation,
 ``error_bound`` and ``terms_for_digits`` all read, so adding a series is
 one entry.  The F1-F3 formulas are the ``CORRECTION_TERMS`` table.
 sqrt12 is the odd reciprocal 1/(2k-1) with ratio 3, so its k-th term is
@@ -37,7 +37,10 @@ each bit-identical to ``leibniz_partial`` / ``leibniz_corrected``.
 ``pi_reference`` is the one source of pi, computed once per scale and
 memoised; every module that needs pi reads it.  It does not use the
 truncated kernel: it brackets pi between sqrt(12) times two consecutive
-exact sqrt12 partial sums, held as integers.
+exact sqrt12 partial sums.  Exact sums are plain ints: ``_exact_sum``
+takes any series' by binary splitting, and ``_floor_times_m`` floors m
+times one (a root multiplier by squares) for ``pi_reference``,
+``_exact_floor`` and ``terms_for_digits``.
 
 Numerical contract: the kernel floors each term at its working scale;
 ``_value_bracket`` bounds the drift from m times the exact sum S.
@@ -45,11 +48,6 @@ Numerical contract: the kernel floors each term at its working scale;
 * 10**d) off bigfixed.widen_until_settled.  BOUND_DIGITS sets only the
 printed bound, at d + BOUND_DIGITS (``error_bound`` counts n + 4 ulp of
 drift); GUARD sets only where a try starts, and no printed digit.
-
-The leading constants in aux-a (3/4) and aux-d (1/2) are always included
-and never counted in n.  Term denominators are constructed as exact
-Python integers and immediately wrapped; all accumulation in the series
-kernels is FixedDec.  ``pi_reference`` alone accumulates plain ints.
 """
 
 from __future__ import annotations
@@ -306,26 +304,18 @@ def pi_reference(scale: int) -> FixedDec:
     """pi truncated at the given scale, proven by an exact bracket.
 
     The sqrt12 terms alternate and shrink, so pi lies between sqrt(12)
-    times the exact partial sums S_n and S_{n+1}, n the analytic bound's
-    count for digits past the scale, from two past it.  S_m is a plain
-    integer over common * 3**(m-1), common the lcm of the odd
-    denominators, and each end is floored by math.isqrt.  The widening
-    ends because pi is irrational.  Memoised by scale."""
+    times the exact partial sums S_n and S_{n+1} = S_n + exact_term(n +
+    1), n the analytic bound's count for digits past the scale, from two
+    past it.  The widening ends because pi is irrational.  Memoised."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
+    series = SERIES[SQRT12]
     def bracket(digits: int) -> list[FixedDec]:
         n = terms_for_digits(SQRT12, digits)
-        common = math.lcm(*range(1, 2 * n + 2, 2))
-        ends = []
-        acc = 0  # after term m: S_m * common * 3**(m-1)
-        for k in range(1, n + 2):
-            term = common // (2 * k - 1)
-            acc = 3 * acc + (term if k % 2 else -term)
-            if k >= n:
-                den = common * 3 ** (k - 1)
-                floor = math.isqrt(12 * acc * acc * 100**scale // (den * den))
-                ends.append(FixedDec(1, floor, scale))
-        return ends
+        num, den = _exact_sum(series, n)
+        t_num, t_den = series.exact_term(n + 1)
+        ends = (num, den), (num * t_den + (-1) ** n * t_num * den, den * t_den)
+        return [FixedDec(1, _floor_times_m(series, *end, scale), scale) for end in ends]
     return widen_until_settled(bracket, scale, scale + 2)
 
 
@@ -347,19 +337,16 @@ def circumference_check() -> int:
 
 def terms_for_digits(series_id: str, digits: int) -> int:
     """Smallest n whose analytic bound, error_bound without the drift,
-    drops below 10**-digits: an exact-integer test (squared for a root
-    multiplier) under a doubling search and a bisection.  leibniz and
-    aux-b shrink only like 1/n, so their n grows like 10**digits;
-    requests that need more than DEFAULT_TERM_CAP terms are refused."""
+    drops below 10**-digits, that is whose _floor_times_m at digits is 0,
+    under a doubling search and a bisection.  leibniz and aux-b shrink
+    only like 1/n, so their n grows like 10**digits; requests that need
+    more than DEFAULT_TERM_CAP terms are refused."""
     if digits < 1:
         raise ValueError("digits must be >= 1")
     series = _series(series_id)
-    p = 10**digits
-    power = 2 if series.root else 1
 
     def below(n: int) -> bool:
-        num, den = series.tail_bound(n)
-        return series.multiplier * (num * p) ** power < den**power
+        return _floor_times_m(series, *series.tail_bound(n), digits) == 0
 
     lo, hi = 0, 1  # below(lo) fails (or lo is 0); hi is the candidate
     while not below(hi):
@@ -436,19 +423,40 @@ def _value_bracket(series_id: str, terms: int, correction: str,
     return fd_sub(value, drift), fd_add(value, drift)
 
 
+def _exact_sum(series: SeriesDef, n: int) -> tuple[int, int]:
+    """sum_{k=1..n} sign_k * exact_term(k) for n >= 1, no lead, as plain
+    ints (num, den) by binary splitting (Haible & Papanikolaou, 1998):
+    split(a, b) is t, d = prod den(k) and q = ratio**(b - a), with t / (d *
+    q) the sum over a <= k < b of sign_k / (den(k) * ratio**(k - a + 1))."""
+    def split(a: int, b: int) -> tuple[int, int, int]:
+        if b - a == 1:
+            return -1 if series.alternating and a % 2 == 0 else 1, series.den(a), series.ratio
+        t1, d1, q1 = split(a, (a + b) // 2)
+        t2, d2, q2 = split((a + b) // 2, b)
+        return t1 * d2 * q2 + t2 * d1, d1 * d2, q1 * q2
+    t, d, q = split(1, n + 1)
+    return series.num * t, d * q // series.ratio
+
+
+def _floor_times_m(series: SeriesDef, num: int, den: int, digits: int) -> int:
+    """floor(m * num / den * 10**digits) for num / den >= 0, m the
+    multiplier; a root multiplier's is the isqrt of the floored square."""
+    power = 1 + series.root
+    floor = series.multiplier * (num * 10**digits) ** power // den**power
+    return math.isqrt(floor) if series.root else floor
+
+
 def _exact_floor(series_id: str, terms: int, correction: str, digits: int) -> FixedDec:
-    """floor(m * S * 10**digits) on plain ints: S > 0 summed over the lcm
-    of the term denominators, and a root multiplier's as an isqrt of squares."""
+    """floor(m * S * 10**digits) on plain ints, S > 0 the _exact_sum plus
+    the lead and the signed correction."""
     series = SERIES[series_id]
-    parts = [(1, *series.lead)] if series.lead else []
-    parts += [((-1) ** (k - 1) if series.alternating else 1, *series.exact_term(k))
-              for k in range(1, terms + 1)]
+    num, den = _exact_sum(series, terms)
+    lead_num, lead_den = series.lead or (0, 1)
+    num, den = num * lead_den + lead_num * den, den * lead_den
     if correction != NO_CORRECTION:
-        parts.append(((-1) ** terms, *CORRECTION_TERMS[correction](terms)))
-    den = math.lcm(*(d for _, _, d in parts))
-    num = sum(sign * p * (den // d) for sign, p, d in parts) * 10**digits
-    floor = series.multiplier * num ** (1 + series.root) // den ** (1 + series.root)
-    return FixedDec(1, math.isqrt(floor) if series.root else floor, digits)
+        c_num, c_den = CORRECTION_TERMS[correction](terms)
+        num, den = num * c_den + (-1) ** terms * c_num * den, den * c_den
+    return FixedDec(1, _floor_times_m(series, num, den, digits), digits)
 
 
 def evaluate_digits(series_id: str, terms: int, correction: str, digits: int) -> PiResult:

@@ -88,10 +88,13 @@ MUTANTS = (
            "if pending > 1 and den * pending >= BASE:",
            "if pending > 1 and den * pending >= BASE * BASE:", (PI_SERIES,)),
     Mutant("terms-for-digits-not-strict", "pi_series.py",
-           "return series.multiplier * (num * p) ** power < den**power",
-           "return series.multiplier * (num * p) ** power <= den**power", (PI_SERIES,)),
+           "_floor_times_m(series, *series.tail_bound(n), digits) == 0",
+           "_floor_times_m(series, *series.tail_bound(n), digits) <= 1", (PI_SERIES,)),
     Mutant("pi-bracket-unchecked", "pi_series.py",
-           "        return ends\n", "        return ends[0], ends[0]\n", (PI_SERIES,)),
+           "ends = (num, den), (num * t_den + (-1) ** n * t_num * den, den * t_den)",
+           "ends = (num, den), (num, den)", (PI_SERIES,)),
+    Mutant("split-join-drops-ratio", "pi_series.py",
+           "t1 * d2 * q2 + t2 * d1", "t1 * d2 + t2 * d1", (PI_SERIES,)),
     Mutant("correction-sign-flipped", "pi_series.py",
            "s = fd_add(partial, corr if n % 2 == 0 else -corr)",
            "s = fd_add(partial, -corr if n % 2 == 0 else corr)", (PI_SERIES,)),

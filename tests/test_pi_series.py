@@ -32,6 +32,8 @@ from madhava.pi_series import (
     SERIES_IDS,
     SQRT12,
     SeriesDef,
+    _exact_floor,
+    _exact_sum,
     _partial_sum,
     _running_sums,
     _value_bracket,
@@ -480,12 +482,18 @@ class TestPiReference:
 
     def test_independent_of_the_truncated_kernel(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("pi_reference must not read the kernel it referees")
+            raise AssertionError("an exact routine must not read the kernel it referees")
 
-        for name in ("pi_sqrt12", "error_bound", "_running_sums"):
+        for name in ("pi_sqrt12", "error_bound", "_running_sums", "_value"):
             monkeypatch.setattr(pi_series, name, refuse)
         for s in (0, 78, 359):
             assert pi_reference.__wrapped__(s).mantissa.to_int() == machin_pi_floor(s)
+        # nor may evaluate_digits' exact fallback
+        for series_id, correction in PRINTED_MODES:
+            for n in (1, 2, 17):
+                s = exact_sum(series_id, correction, n)
+                got = _exact_floor(series_id, n, correction, 40)
+                assert got.mantissa.to_int() == exact_floor(series_id, s, 40), (series_id, n)
 
     def test_memoised_by_scale(self):
         assert pi_reference(33) is pi_reference(33)
@@ -548,6 +556,25 @@ def exact_floor(series_id, s, digits):
     if series_id == SQRT12:
         return isqrt(int(multiplier * s * s * 10 ** (2 * digits)))
     return int(multiplier * s * 10**digits)
+
+
+class TestExactSum:
+    @pytest.mark.parametrize("series_id", SERIES_IDS)
+    def test_split_is_the_fraction_sum(self, series_id):
+        # odd n splits into uneven halves; sqrt12's ratio 3 makes the join
+        # carry the right half's ratio power
+        lead = EXACT_SERIES[series_id][1]
+        for n in (1, 2, 3, 17, 60, 200, 1000, 1001):
+            want = exact_sum(series_id, NO_CORRECTION, n) - lead
+            assert Fraction(*_exact_sum(SERIES[series_id], n)) == want, n
+
+    @pytest.mark.parametrize("series_id, correction", ((LEIBNIZ, F2), (AUX_B, NO_CORRECTION)))
+    def test_exact_floor_at_4000_terms(self, series_id, correction):
+        s = exact_sum(series_id, correction, 4000)
+        for digits in (0, 40, 2000):
+            got = _exact_floor(series_id, 4000, correction, digits)
+            want = exact_floor(series_id, s, digits)
+            assert (got.sign, got.mantissa.to_int(), got.scale) == (1, want, digits), digits
 
 
 class TestEvaluateDigits:
