@@ -43,7 +43,8 @@ from .pi_series import (
     TermCountError,
     circumference_check,
     corrections_for,
-    evaluate_digits,
+    error_bound,
+    evaluate,
     leibniz_sweep,
     madhava_pi_value,
     pi_reference,
@@ -188,9 +189,9 @@ def build_verify_report() -> tuple[VerifyCheck, ...]:
 def cmd_pi(args) -> int:
     if args.correction not in corrections_for(args.series):
         args.parser.error("--correction applies to the leibniz series only")
-    result = evaluate_digits(args.series, args.terms, args.correction, args.digits)
-    value = fd_to_string(result.value)
-    bound = None if result.error_bound is None else fd_to_string(result.error_bound)
+    value = fd_to_string(evaluate(args.series, args.terms, args.correction, args.digits))
+    bound = error_bound(args.series, args.terms, args.correction, args.digits)
+    bound = None if bound is None else fd_to_string(bound)
     if args.format == "json":
         import json
 
@@ -239,7 +240,7 @@ def _converge_rows(series_list, n_max, corrections, scale):
         modes = corrections_for(series_id) if corrections == "all" else (NO_CORRECTION,)
         for mode in modes:
             for n in range(1, n_max + 1):
-                out = evaluate_digits(series_id, n, mode, scale).value
+                out = evaluate(series_id, n, mode, scale)
                 err = abs(fd_sub(out, pi_ref))
                 yield f"{series_id},{mode},{n},{fd_to_string(out)},{fd_to_string(err)}"
 

@@ -44,10 +44,10 @@ times one (a root multiplier by squares) for ``pi_reference``,
 
 Numerical contract: the kernel floors each term at its working scale;
 ``_value_bracket`` bounds the drift from m times the exact sum S.
-``evaluate_digits``, behind ``pi`` and ``converge``, returns floor(m * S
-* 10**d) off bigfixed.widen_until_settled.  BOUND_DIGITS sets only the
-printed bound, at d + BOUND_DIGITS (``error_bound`` counts n + 4 ulp of
-drift); GUARD sets only where a try starts, and no printed digit.
+``evaluate``, the one printed pi value of ``pi`` and ``converge``,
+returns floor(m * S * 10**d) off bigfixed.widen_until_settled;
+``error_bound``, the bound ``pi`` prints beside it, is taken at d +
+BOUND_DIGITS (n + 4 ulp of drift).  GUARD sets no printed digit.
 """
 
 from __future__ import annotations
@@ -154,11 +154,6 @@ SCALE_CAP = 2000
 
 class TermCountError(ValueError):
     """Requested digit count needs more terms than the configured cap."""
-
-
-class PiResult(NamedTuple):
-    value: FixedDec
-    error_bound: FixedDec | None
 
 
 # ---------------------------------------------------------------------------
@@ -363,34 +358,27 @@ def terms_for_digits(series_id: str, digits: int) -> int:
     return hi
 
 
-def error_bound(series_id: str, n: int, scale: int, correction: str = NO_CORRECTION) -> FixedDec | None:
-    """A-priori bound on |value - pi|: the multiplier times the series'
-    tail bound, plus the truncation drift.  None where no closed form is
-    carried (the corrected Leibniz variants)."""
+def error_bound(series_id: str, terms: int, correction: str, digits: int) -> FixedDec | None:
+    """The bound printed beside evaluate's value: a-priori on |value - pi|,
+    the multiplier times the series' tail bound plus the truncation drift,
+    at digits + BOUND_DIGITS.  None where no closed form is carried (the
+    corrected Leibniz variants)."""
     if correction != NO_CORRECTION:
         return None
     series = _series(series_id)
+    scale = digits + BOUND_DIGITS
     multiplier = _multiplier(series, scale)
     if series.root:
         # ceil the root so the bound stays an upper bound
         multiplier = fd_add(multiplier, FixedDec(1, 1, scale))
-    num, den = series.tail_bound(n)
+    num, den = series.tail_bound(terms)
     analytic = fd_divn(fd_mul(multiplier, FixedDec.from_int(num)), den, scale)
     # drift: n per-term truncations plus a couple for the final scaling
-    return fd_add(analytic, FixedDec(1, n + 4, scale))
+    return fd_add(analytic, FixedDec(1, terms + 4, scale))
 
 
 def _value(series_id: str, terms: int, correction: str, scale: int) -> FixedDec:
-    if series_id not in SERIES_IDS:
-        raise ValueError(f"unknown series id {series_id!r}")
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
-    if correction not in CORRECTIONS:
-        raise ValueError(f"unknown correction {correction!r}")
-    if correction not in corrections_for(series_id):
-        raise ValueError("corrections apply to the leibniz series only")
-    if scale < 1:
-        raise ValueError("scale must be >= 1")
+    """The kernel value at scale, for a request evaluate has checked."""
     if series_id == LEIBNIZ:
         if correction == NO_CORRECTION:
             return leibniz_partial(terms, scale)
@@ -398,14 +386,6 @@ def _value(series_id: str, terms: int, correction: str, scale: int) -> FixedDec:
     if series_id == SQRT12:
         return pi_sqrt12(terms, scale)
     return aux_series(series_id, terms, scale)
-
-
-def evaluate(series_id: str, terms: int, correction: str, scale: int) -> PiResult:
-    """One series, with its end-correction (Leibniz only), summed over
-    terms at the working scale.  Deterministic: equal arguments give
-    bit-identical results."""
-    return PiResult(_value(series_id, terms, correction, scale),
-                    error_bound(series_id, terms, scale, correction))
 
 
 def _value_bracket(series_id: str, terms: int, correction: str,
@@ -459,15 +439,23 @@ def _exact_floor(series_id: str, terms: int, correction: str, digits: int) -> Fi
     return FixedDec(1, _floor_times_m(series, num, den, digits), digits)
 
 
-def evaluate_digits(series_id: str, terms: int, correction: str, digits: int) -> PiResult:
-    """The printed convention in one place: floor(m * S * 10**digits) for
-    the exact n-term value m * S, read off _value_bracket from ws = digits
-    + GUARD, or _exact_floor when two brackets straddle (leibniz's 4 at
-    n = 1).  The bound is taken once, at digits + BOUND_DIGITS."""
-    value = widen_until_settled(
+def evaluate(series_id: str, terms: int, correction: str, digits: int) -> FixedDec:
+    """The printed pi value: floor(m * S * 10**digits) for the exact n-term
+    value m * S, end-correction included, read off _value_bracket from ws
+    = digits + GUARD, or _exact_floor when two brackets straddle (leibniz's
+    4 at n = 1).  Equal arguments give bit-identical results."""
+    _series(series_id)
+    if terms < 1:
+        raise ValueError("terms must be >= 1")
+    if correction not in CORRECTIONS:
+        raise ValueError(f"unknown correction {correction!r}")
+    if correction not in corrections_for(series_id):
+        raise ValueError("corrections apply to the leibniz series only")
+    if digits < 0:
+        raise ValueError("digits must be >= 0")
+    return widen_until_settled(
         lambda ws: _value_bracket(series_id, terms, correction, ws), digits, digits + GUARD,
         fallback=lambda: _exact_floor(series_id, terms, correction, digits))
-    return PiResult(value, error_bound(series_id, terms, digits + BOUND_DIGITS, correction))
 
 
 def _check_terms(n: int) -> None:

@@ -38,6 +38,7 @@ PI_SERIES = "tests/test_pi_series.py"
 TRIG = "tests/test_trig_series.py"
 TRIG_ORACLE = "tests/test_trig_oracle.py"
 CLI = "tests/test_cli.py"
+CLI_GOLDEN = "tests/test_cli_golden.py"
 GEOMETRY = "tests/test_geometry.py"
 GUARD = "tests/test_guard.py"
 CHRONOLOGY = "tests/test_chronology.py"
@@ -105,6 +106,9 @@ MUTANTS = (
     Mutant("fallback-never", "pi_series.py",
            "fallback=lambda: _exact_floor(series_id, terms, correction, digits))", "fallback=None)",
            (PI_SERIES,)),
+    # the printed bound is taken BOUND_DIGITS past the printed digits
+    Mutant("bound-at-printed-digits", "pi_series.py",
+           "scale = digits + BOUND_DIGITS", "scale = digits", (CLI_GOLDEN,)),
     Mutant("evaluate-admits-any-correction", "pi_series.py",
            "    if correction not in corrections_for(series_id):\n"
            "        raise ValueError(\"corrections apply to the leibniz series only\")\n",

@@ -12,6 +12,7 @@ from math import factorial
 import pytest
 
 import madhava.cli as cli
+from madhava import pi_series
 from madhava.bigfixed import fd_from_string, fd_rescale, fd_to_string
 from madhava.cli import TRIG_TERM_CAP, build_parser, build_verify_report, main
 from madhava.pi_series import SCALE_CAP
@@ -215,6 +216,34 @@ class TestConvergeCommand:
         # values are plain decimal strings
         for row in rows[1:]:
             assert row[3].replace(".", "").isdigit()
+
+    def test_one_evaluate_per_printed_value_and_no_unprinted_bound(self, capsys, monkeypatch):
+        # converge prints no bound, so it must never take one; pi prints its
+        # value through one evaluate call
+        evaluate, calls = cli.evaluate, []
+
+        def counted(*args):
+            calls.append(args)
+            return evaluate(*args)
+
+        def refuse(*args):
+            raise AssertionError("converge took a bound it does not print")
+
+        monkeypatch.setattr(cli, "evaluate", counted)
+        monkeypatch.setattr(cli, "error_bound", refuse)
+        monkeypatch.setattr(pi_series, "error_bound", refuse)
+        code, out = run_cli(capsys, "converge", "--series", "leibniz,sqrt12",
+                            "--n-max", "7", "--corrections", "all")
+        assert code == 0
+        assert len(list(csv.DictReader(io.StringIO(out)))) == 35  # 4 x 7 + 7
+        assert len(calls) == 35
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "evaluate", counted)
+        calls.clear()
+        code, out = run_cli(capsys, "pi", "--series", "sqrt12", "--terms", "22")
+        assert code == 0
+        assert "error-bound " in out
+        assert calls == [("sqrt12", 22, "none", 20)]
 
     def test_series_order_preserved(self, capsys):
         code, out = run_cli(capsys, "converge", "--series", "aux-d,leibniz", "--n-max", "2")

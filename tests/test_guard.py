@@ -1,12 +1,12 @@
 """GUARD sets where a kernel starts, never a settled digit.
 
-pi_reference, build_sine_table and evaluate_digits decide every digit
+pi_reference, build_sine_table and pi_series.evaluate decide every digit
 they return through bigfixed.widen_until_settled, which widens by GUARD
 digits until the two ends of a bracket agree, so any GUARD >= 1 must
 give the bytes that the shipped GUARD = 10 gives.  That covers what
 ``pi`` and ``converge`` print: each series value is the exact floor
 whatever GUARD is, the four terminating values below (4, 3, 3.2 and
-3.2, which no widening separates) through evaluate_digits' exact
+3.2, which no widening separates) through evaluate's exact
 fallback, and the errors converge prints are taken against
 pi_reference.  GUARD is moved in every module that binds it, and the
 pi memo is cleared around each run, so nothing computed at one GUARD is

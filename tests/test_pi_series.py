@@ -36,6 +36,7 @@ from madhava.pi_series import (
     _exact_sum,
     _partial_sum,
     _running_sums,
+    _value,
     _value_bracket,
     TermCountError,
     aux_series,
@@ -43,7 +44,6 @@ from madhava.pi_series import (
     correction_term,
     error_bound,
     evaluate,
-    evaluate_digits,
     leibniz_corrected,
     leibniz_partial,
     leibniz_sweep,
@@ -362,8 +362,10 @@ class TestTermSelection:
                  (SQRT12, 12), (SQRT12, 30))
         for series, digits in cases:
             n = terms_for_digits(series, digits)
-            bound_n = as_fraction(error_bound(series, n, 40))
-            bound_prev = as_fraction(error_bound(series, n - 1, 40)) if n > 1 else None
+            # the bound is taken BOUND_DIGITS past the digits asked for
+            bound_n = as_fraction(error_bound(series, n, NO_CORRECTION, 40 - BOUND_DIGITS))
+            bound_prev = (as_fraction(error_bound(series, n - 1, NO_CORRECTION, 40 - BOUND_DIGITS))
+                          if n > 1 else None)
             drift = Fraction(n + 4, 10**40)
             assert bound_n - drift < Fraction(1, 10**digits)
             if bound_prev is not None:
@@ -411,39 +413,40 @@ class TestInvariants:
                 lo, hi = min(a, b), max(a, b)
                 assert lo <= PI_50 <= hi, name
 
-    def test_error_bound_invariant(self):
-        # |value - pi_ref| <= bound + 10 ulp for every series
-        scale = 25
+    @pytest.mark.parametrize("digits", (0, 1, 12, 25, 40))
+    def test_error_bound_invariant(self, digits):
+        # |value - pi| <= bound + 1 ulp for every series: the printed value
+        # is a floor, one ulp at most below m * S
         specs = [(LEIBNIZ, 30), (AUX_A, 12), (AUX_B, 40), (AUX_C, 6), (AUX_D, 25), (SQRT12, 10)]
         for series_id, terms in specs:
-            res = evaluate(series_id, terms, NO_CORRECTION, scale)
-            assert res.error_bound is not None
-            assert abs(as_fraction(res.value) - PI_50) <= as_fraction(res.error_bound) + 10 * ulp(scale)
+            value = evaluate(series_id, terms, NO_CORRECTION, digits)
+            bound = error_bound(series_id, terms, NO_CORRECTION, digits)
+            assert bound is not None
+            assert abs(as_fraction(value) - PI_50) <= as_fraction(bound) + ulp(digits), series_id
 
     def test_corrected_has_no_bound(self):
-        res = evaluate(LEIBNIZ, 10, F3, 20)
-        assert res.error_bound is None
+        assert error_bound(LEIBNIZ, 10, F3, 20) is None
 
     def test_determinism(self):
         a, b = evaluate(SQRT12, 22, NO_CORRECTION, 25), evaluate(SQRT12, 22, NO_CORRECTION, 25)
-        assert fd_to_string(a.value) == fd_to_string(b.value)
-        assert a.value.scale == b.value.scale
+        assert fd_to_string(a) == fd_to_string(b)
+        assert a.scale == b.scale
 
     # each refusal is the first of the five checks that its arguments
     # fail, in the order evaluate makes them
     @pytest.mark.parametrize("args, kwargs, message", [
         (("machin", 5, "none", 20), {}, "unknown series id 'machin'"),
-        ((), {"series_id": "machin", "terms": 0, "correction": "f4", "scale": 0},
+        ((), {"series_id": "machin", "terms": 0, "correction": "f4", "digits": -1},
          "unknown series id 'machin'"),
         (("leibniz", 0, "none", 20), {}, "terms must be >= 1"),
-        (("leibniz", 0, "f4", 0), {}, "terms must be >= 1"),
+        (("leibniz", 0, "f4", -1), {}, "terms must be >= 1"),
         (("aux-a", 5, "f1", 20), {}, "corrections apply to the leibniz series only"),
-        (("aux-a", 5), {"correction": "f1", "scale": 0}, "corrections apply to the leibniz series only"),
+        (("aux-a", 5), {"correction": "f1", "digits": -1}, "corrections apply to the leibniz series only"),
         (("leibniz", 5, "f4", 20), {}, "unknown correction 'f4'"),
-        (("aux-a", 5, "f4", 0), {}, "unknown correction 'f4'"),
-        (("leibniz", 5, "none", 0), {}, "scale must be >= 1"),
-        ((), {"series_id": "leibniz", "terms": 5, "correction": "none", "scale": 0},
-         "scale must be >= 1"),
+        (("aux-a", 5, "f4", -1), {}, "unknown correction 'f4'"),
+        (("leibniz", 5, "none", -1), {}, "digits must be >= 0"),
+        ((), {"series_id": "leibniz", "terms": 5, "correction": "none", "digits": -1},
+         "digits must be >= 0"),
     ])
     def test_evaluate_refuses(self, args, kwargs, message):
         with pytest.raises(ValueError) as exc:
@@ -488,7 +491,7 @@ class TestPiReference:
             monkeypatch.setattr(pi_series, name, refuse)
         for s in (0, 78, 359):
             assert pi_reference.__wrapped__(s).mantissa.to_int() == machin_pi_floor(s)
-        # nor may evaluate_digits' exact fallback
+        # nor may evaluate's exact fallback
         for series_id, correction in PRINTED_MODES:
             for n in (1, 2, 17):
                 s = exact_sum(series_id, correction, n)
@@ -600,7 +603,7 @@ class TestEvaluateDigits:
             s = exact_sum(series_id, correction, n)
             for digits in (0, 1, 12, 40):
                 seen.clear()
-                got = evaluate_digits(series_id, n, correction, digits).value
+                got = evaluate(series_id, n, correction, digits)
                 assert seen == [digits + GUARD, digits + 2 * GUARD]
                 want = exact_floor(series_id, s, digits)
                 assert (got.sign, got.mantissa.to_int(), got.scale) == (1, want, digits), (n, digits)
@@ -625,11 +628,18 @@ class TestEvaluateDigits:
         def bits(x):
             return None if x is None else (x.sign, x.mantissa.to_int(), x.scale)
 
+        # the bound restated from error_bound's docstring: ceil(m) (the
+        # root floored plus one ulp) times the tail bound, floored, plus n
+        # + 4 ulp, all at digits + BOUND_DIGITS
+        ws = digits + BOUND_DIGITS
+        series = SERIES[series_id]
+        m = isqrt(series.multiplier * 10 ** (2 * ws)) + 1 if series.root else series.multiplier * 10**ws
         for n in (1, 2, 17, 60):
-            want = evaluate(series_id, n, correction, digits + BOUND_DIGITS)
-            got = evaluate_digits(series_id, n, correction, digits)
-            assert bits(got.value) == bits(fd_rescale(want.value, digits))
-            assert bits(got.error_bound) == bits(want.error_bound)
+            want = fd_rescale(_value(series_id, n, correction, ws), digits)
+            assert bits(evaluate(series_id, n, correction, digits)) == bits(want)
+            num, den = series.tail_bound(n)
+            bound = None if correction != NO_CORRECTION else (1, m * num // den + n + 4, ws)
+            assert bits(error_bound(series_id, n, correction, digits)) == bound
 
     @pytest.mark.parametrize("series_id, correction", PRINTED_MODES)
     @pytest.mark.parametrize("digits", (1, 12, 40))
@@ -649,6 +659,6 @@ class TestEvaluateDigits:
             if correction != NO_CORRECTION:
                 s += (-1) ** n * EXACT_CORRECTIONS[correction](n)
             want = exact_floor(series_id, s, digits)
-            got = evaluate_digits(series_id, n, correction, digits).value
+            got = evaluate(series_id, n, correction, digits)
             assert (got.sign, got.mantissa.to_int(), got.scale) == (1, want, digits), n
 
