@@ -20,11 +20,26 @@ Each leaf subparser in build_parser attaches its handler with
 a handler refuses through ``args.parser``, its own subcommand's, so the
 usage line printed is that subcommand's.  Decimal arguments arrive
 parsed, as FixedDec of at most SCALE_CAP digits.
+
+main builds the parser on its first call and reuses it on every later
+call in the process, so a caller that runs many commands in one process
+builds it once; parsing leaves no state in it.  build_parser still
+returns a new parser on each call.
+
+run, the process entry point (``python -m madhava.cli`` and the
+``madhava`` script), calls gc.freeze() before main: the start-up heap
+(the interpreter, site, argparse and madhava's modules) moves to the
+collector's permanent generation, so neither the command's full
+collections nor the interpreter's collections at exit walk it again.
+Importing this module freezes nothing, so test runners, warm workers
+and library callers keep an ordinary collector.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import os
 import sys
 from math import factorial
@@ -453,9 +468,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.run(args)
     except ValueError as exc:
@@ -464,6 +483,7 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    gc.freeze()  # the start-up heap lives until exit; no collection need walk it
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe must fail here, inside the try

@@ -166,6 +166,13 @@ MUTANTS = (
            "acc += -term if k % 2 else term", "acc += term if k % 2 else -term", (CLI,)),
     Mutant("verify-angle-narrowed", "cli.py",
            "theta_t(table_degrees(k), 20)", "theta_t(table_degrees(k), 10)", (TRIG_ORACLE,)),
+    # the process entry point freezes the start-up heap; main reuses one parser
+    Mutant("freeze-never", "cli.py",
+           "    gc.freeze()  # the start-up heap lives until exit; no collection need walk it\n",
+           "", (CLI,)),
+    Mutant("parser-per-call", "cli.py",
+           "args = _shared_parser().parse_args(argv)", "args = build_parser().parse_args(argv)",
+           (CLI,)),
 )
 
 

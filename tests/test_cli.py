@@ -2,12 +2,15 @@
 
 import argparse
 import csv
+import functools
+import importlib.util
 import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +32,16 @@ def run_cli(capsys, *argv):
 def run_subprocess(*argv):
     return subprocess.run([sys.executable, "-m", "madhava.cli", *argv],
                           capture_output=True)
+
+
+def cold_grids():
+    """bench/workloads.py's COLD_GRIDS, loaded by path so that bench/
+    stays off sys.path (it holds modules named run and worker)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("cold_grid_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.COLD_GRIDS
 
 
 class TestPiCommand:
@@ -518,6 +531,85 @@ class TestBrokenPipe:
         assert proc.stderr.read() == b""
         proc.stderr.close()
         assert code == 141
+
+
+# an atexit hook reports the collector's permanent generation once the
+# process is done, after run's sys.exit
+FREEZE_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+import madhava.cli as cli
+{call}
+"""
+
+
+def frozen_at_exit(call: str) -> int:
+    proc = subprocess.run([sys.executable, "-c", FREEZE_PROBE.format(call=call)],
+                          capture_output=True)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b"jd ")  # chrono check ran
+    return int(proc.stderr.split()[-1])
+
+
+class TestProcessEntryPoint:
+    """python -m madhava.cli runs cli.run: it prints what main prints,
+    exits as main returns, and is the one place that freezes the heap.
+    The 141 exit is TestBrokenPipe's."""
+
+    @pytest.mark.parametrize("argv", [grid[len(grid) // 2] for grid in cold_grids().values()],
+                             ids=" ".join)
+    def test_process_prints_what_main_prints(self, argv, capsys):
+        proc = run_subprocess(*argv)
+        code, out = run_cli(capsys, *argv)
+        assert proc.returncode == code == 0
+        assert proc.stdout == out.encode()
+
+    def test_usage_error_exits_2_with_empty_stdout(self):
+        proc = run_subprocess("pi", "--series", "sqrt12", "--terms", "x")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert b"invalid int value" in proc.stderr
+
+    def test_run_freezes_the_start_up_heap(self):
+        assert frozen_at_exit("sys.argv = ['madhava', 'chrono', 'check']; cli.run()") > 0
+
+    def test_import_and_main_freeze_nothing(self):
+        # pytest, bench's warm worker and library callers import the module
+        # and call main; none of them may get a frozen heap
+        assert frozen_at_exit("cli.main(['chrono', 'check'])") == 0
+
+
+class TestSharedParser:
+    def test_two_calls_build_one_parser(self, monkeypatch, capsys):
+        builds = []
+
+        def counted():
+            builds.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        monkeypatch.setattr(cli, "_shared_parser", functools.cache(cli._shared_parser.__wrapped__))
+        assert run_cli(capsys, "chrono", "check")[0] == 0
+        assert run_cli(capsys, "quad", "radius", "--sides", "3,4,3,4")[0] == 0
+        assert len(builds) == 1
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    @pytest.mark.parametrize("refused", [
+        ("pi", "--series", "leibniz", "--digits", "3", "--terms", "x"),  # argparse's refusal
+        ("pi", "--series", "aux-a", "--terms", "5", "--correction", "f1", "--digits", "3"),  # cmd_pi's
+    ])
+    def test_refused_argv_leaves_no_state(self, refused, capsys):
+        argv = ("pi", "--series", "sqrt12", "--terms", "28")
+        with pytest.raises(SystemExit) as exc:
+            main(list(refused))
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out = run_cli(capsys, *argv)
+        fresh = run_subprocess(*argv)
+        assert (code, out.encode()) == (fresh.returncode, fresh.stdout)
+        assert len(out.splitlines()[0]) == len("3.") + 20  # --digits 3 left no default behind
 
 
 class TestDeterminism:
