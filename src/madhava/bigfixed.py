@@ -17,6 +17,10 @@ here; no float ever touches a computation path.
     Its arithmetic is spelled ``fd_*`` only; the class itself keeps
     ``-x``, ``abs()`` and the value comparisons.
 
+``widen_until_settled``
+    The one settle rule: a value's proven floor at a scale, read off two
+    int ends that widen by GUARD digits until both floor alike.
+
 Operands range from a few limbs to a few thousand digits (``--scale``
 goes up to 2000, and a 1000-digit pi multiplies and divides 1000-digit
 mantissas).  The linear ``BigNat`` operations (add, subtract, compare,
@@ -394,9 +398,10 @@ def fd_rescale(a: FixedDec, scale: int) -> FixedDec:
 def fd_round(a: FixedDec, scale: int) -> FixedDec:
     """Re-scale with round-half-away-from-zero on the magnitude.
 
-    The only sanctioned departures from truncation are final-answer
-    quantizations (integer circumference, sine-table entries); all
-    intermediate arithmetic stays truncating.
+    The one sanctioned departure from truncation is a final-answer
+    quantization: the integer circumference (sine-table entries round
+    the same way inside their bracket); all intermediate arithmetic
+    stays truncating.
     """
     if scale >= a.scale:
         return fd_rescale(a, scale)
@@ -405,30 +410,19 @@ def fd_round(a: FixedDec, scale: int) -> FixedDec:
     return FixedDec(a.sign, (a.mantissa + half).unshift10(drop), scale)
 
 
-def settled(lo: FixedDec, hi: FixedDec, scale: int,
-            rounding: Callable[[FixedDec, int], FixedDec] = fd_rescale) -> FixedDec | None:
-    """The value that both ends of an interval give at scale under
-    rounding (fd_rescale truncates, fd_round rounds half away), or None
-    when the two differ.  Both roundings are monotone, so a value that
-    lies between the ends gives the same one: Ziv's (1991) rounding
-    test.  On None the caller widens its interval and asks again."""
-    low, high = rounding(lo, scale), rounding(hi, scale)
-    return low if low == high else None
-
-
-def widen_until_settled(bracket: Callable[[int], tuple[FixedDec, FixedDec]], scale: int,
-                        start: int, rounding: Callable[[FixedDec, int], FixedDec] = fd_rescale,
-                        fallback: Callable[[], FixedDec] | None = None) -> FixedDec:
-    """The value settled reads at scale off bracket(ws), two ends around
-    it, for ws = start, start + GUARD, ... until they agree.  With a
-    fallback, fallback() once a widened bracket has also failed, for a
-    value (a terminating decimal) that no widening separates."""
+def widen_until_settled(bracket: Callable[[int], tuple[int, int]], scale: int,
+                        start: int) -> FixedDec:
+    """floor(x * 10**scale) for a value x >= 0, read off bracket(ws), two
+    ints lo <= x * 10**ws < hi + 1 (so an end may be a floor), for ws =
+    start, start + GUARD, ... until both ends floor to the same int at
+    scale.  The floor is monotone, so x gives that int too: Ziv's (1991)
+    rounding test.  A negative floor is refused by FixedDec."""
     ws = start
-    while (value := settled(*bracket(ws), scale, rounding)) is None:
-        if fallback is not None and ws > start:
-            return fallback()
+    while True:
+        low, high = (end // 10 ** (ws - scale) for end in bracket(ws))
+        if low == high:
+            return FixedDec(1, low, scale)
         ws += GUARD
-    return value
 
 
 def fd_isqrt(a: FixedDec, scale: int) -> FixedDec:

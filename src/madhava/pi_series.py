@@ -43,11 +43,12 @@ times one (a root multiplier by squares) for ``pi_reference``,
 ``_exact_floor`` and ``terms_for_digits``.
 
 Numerical contract: the kernel floors each term at its working scale;
-``_value_bracket`` bounds the drift from m times the exact sum S.
-``evaluate``, the one printed pi value of ``pi`` and ``converge``,
-returns floor(m * S * 10**d) off bigfixed.widen_until_settled;
-``error_bound``, the bound ``pi`` prints beside it, is taken at d +
-BOUND_DIGITS (n + 4 ulp of drift).  GUARD sets no printed digit.
+``_value_bracket`` bounds, in ints, its drift from m times the exact sum
+S.  ``evaluate``, the one printed pi value of ``pi`` and ``converge``,
+returns floor(m * S * 10**d) off bigfixed.widen_until_settled, its third
+bracket ``_exact_floor``; ``error_bound``, the bound ``pi`` prints beside
+it, is taken at d + BOUND_DIGITS (n + 4 ulp of drift).  GUARD sets no
+printed digit.
 """
 
 from __future__ import annotations
@@ -63,12 +64,10 @@ from .bigfixed import (
     BigNat,
     FixedDec,
     fd_add,
-    fd_divn,
     fd_from_ratio,
     fd_isqrt,
     fd_mul,
     fd_round,
-    fd_sub,
     widen_until_settled,
 )
 
@@ -300,17 +299,18 @@ def pi_reference(scale: int) -> FixedDec:
 
     The sqrt12 terms alternate and shrink, so pi lies between sqrt(12)
     times the exact partial sums S_n and S_{n+1} = S_n + exact_term(n +
-    1), n the analytic bound's count for digits past the scale, from two
-    past it.  The widening ends because pi is irrational.  Memoised."""
+    1), n the analytic bound's count for ws digits, each end floored at
+    ws, from ws two past the scale.  The widening ends because pi is
+    irrational.  Memoised."""
     if scale < 0:
         raise ValueError("scale must be >= 0")
     series = SERIES[SQRT12]
-    def bracket(digits: int) -> list[FixedDec]:
-        n = terms_for_digits(SQRT12, digits)
+    def bracket(ws: int) -> list[int]:
+        n = terms_for_digits(SQRT12, ws)
         num, den = _exact_sum(series, n)
         t_num, t_den = series.exact_term(n + 1)
         ends = (num, den), (num * t_den + (-1) ** n * t_num * den, den * t_den)
-        return [FixedDec(1, _floor_times_m(series, *end, scale), scale) for end in ends]
+        return sorted(_floor_times_m(series, *end, ws) for end in ends)
     return widen_until_settled(bracket, scale, scale + 2)
 
 
@@ -360,21 +360,23 @@ def terms_for_digits(series_id: str, digits: int) -> int:
 
 def error_bound(series_id: str, terms: int, correction: str, digits: int) -> FixedDec | None:
     """The bound printed beside evaluate's value: a-priori on |value - pi|,
-    the multiplier times the series' tail bound plus the truncation drift,
-    at digits + BOUND_DIGITS.  None where no closed form is carried (the
-    corrected Leibniz variants)."""
+    the multiplier, ceiled, times the series' tail bound, floored, plus
+    the truncation drift, at digits + BOUND_DIGITS.  None where no closed
+    form is carried (the corrected Leibniz variants)."""
     if correction != NO_CORRECTION:
         return None
     series = _series(series_id)
     scale = digits + BOUND_DIGITS
-    multiplier = _multiplier(series, scale)
-    if series.root:
-        # ceil the root so the bound stays an upper bound
-        multiplier = fd_add(multiplier, FixedDec(1, 1, scale))
     num, den = series.tail_bound(terms)
-    analytic = fd_divn(fd_mul(multiplier, FixedDec.from_int(num)), den, scale)
     # drift: n per-term truncations plus a couple for the final scaling
-    return fd_add(analytic, FixedDec(1, terms + 4, scale))
+    return FixedDec(1, _ceil_multiplier(series, scale) * num // den + terms + 4, scale)
+
+
+def _ceil_multiplier(series: SeriesDef, scale: int) -> int:
+    """ceil(m * 10**scale), m the multiplier; a root's by squares."""
+    if series.root:
+        return math.isqrt(series.multiplier * 10 ** (2 * scale) - 1) + 1
+    return series.multiplier * 10**scale
 
 
 def _value(series_id: str, terms: int, correction: str, scale: int) -> FixedDec:
@@ -388,19 +390,17 @@ def _value(series_id: str, terms: int, correction: str, scale: int) -> FixedDec:
     return aux_series(series_id, terms, scale)
 
 
-def _value_bracket(series_id: str, terms: int, correction: str,
-                   ws: int) -> tuple[FixedDec, FixedDec]:
-    """The kernel value V at ws -+ its drift from m * S, S the exact sum
-    with its signed correction and m the multiplier.  The kernel's sum S'
-    floors the n terms, the lead and the correction, so |S - S'| < n + 2
-    ulp, which m scales by at most ceil(m).  For sqrt12, S' <= 1 times the
-    floored root adds under one ulp, and the truncated product one more:
-    the drift is under ceil(m) * (n + 2) + 2 ulp."""
-    series = SERIES[series_id]
+def _value_bracket(series_id: str, terms: int, correction: str, ws: int) -> tuple[int, int]:
+    """The kernel value V at ws -+ its drift from m * S, in ulp at ws, S
+    the exact sum with its signed correction and m the multiplier.  The
+    kernel's sum S' floors the n terms, the lead and the correction, so
+    |S - S'| < n + 2 ulp, which m scales by at most ceil(m).  For sqrt12,
+    S' <= 1 times the floored root adds under one ulp, and the truncated
+    product one more: the drift is under ceil(m) * (n + 2) + 2 ulp."""
     value = _value(series_id, terms, correction, ws)
-    ceil_m = math.isqrt(series.multiplier - 1) + 1 if series.root else series.multiplier
-    drift = FixedDec(1, ceil_m * (terms + 2) + 2, ws)
-    return fd_sub(value, drift), fd_add(value, drift)
+    mantissa = value.sign * value.mantissa.to_int()
+    drift = _ceil_multiplier(SERIES[series_id], 0) * (terms + 2) + 2
+    return mantissa - drift, mantissa + drift
 
 
 def _exact_sum(series: SeriesDef, n: int) -> tuple[int, int]:
@@ -426,7 +426,7 @@ def _floor_times_m(series: SeriesDef, num: int, den: int, digits: int) -> int:
     return math.isqrt(floor) if series.root else floor
 
 
-def _exact_floor(series_id: str, terms: int, correction: str, digits: int) -> FixedDec:
+def _exact_floor(series_id: str, terms: int, correction: str, digits: int) -> int:
     """floor(m * S * 10**digits) on plain ints, S > 0 the _exact_sum plus
     the lead and the signed correction."""
     series = SERIES[series_id]
@@ -436,14 +436,15 @@ def _exact_floor(series_id: str, terms: int, correction: str, digits: int) -> Fi
     if correction != NO_CORRECTION:
         c_num, c_den = CORRECTION_TERMS[correction](terms)
         num, den = num * c_den + (-1) ** terms * c_num * den, den * c_den
-    return FixedDec(1, _floor_times_m(series, num, den, digits), digits)
+    return _floor_times_m(series, num, den, digits)
 
 
 def evaluate(series_id: str, terms: int, correction: str, digits: int) -> FixedDec:
     """The printed pi value: floor(m * S * 10**digits) for the exact n-term
-    value m * S, end-correction included, read off _value_bracket from ws
-    = digits + GUARD, or _exact_floor when two brackets straddle (leibniz's
-    4 at n = 1).  Equal arguments give bit-identical results."""
+    value m * S, end-correction included, read off _value_bracket at ws =
+    digits + GUARD and digits + 2 * GUARD, then off _exact_floor, for a
+    value that no widening separates (leibniz's 4 at n = 1).  Equal
+    arguments give bit-identical results."""
     _series(series_id)
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -453,9 +454,11 @@ def evaluate(series_id: str, terms: int, correction: str, digits: int) -> FixedD
         raise ValueError("corrections apply to the leibniz series only")
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    return widen_until_settled(
-        lambda ws: _value_bracket(series_id, terms, correction, ws), digits, digits + GUARD,
-        fallback=lambda: _exact_floor(series_id, terms, correction, digits))
+    def bracket(ws: int) -> tuple[int, int]:
+        if ws > digits + 2 * GUARD:
+            return (_exact_floor(series_id, terms, correction, ws),) * 2
+        return _value_bracket(series_id, terms, correction, ws)
+    return widen_until_settled(bracket, digits, digits + GUARD)
 
 
 def _check_terms(n: int) -> None:

@@ -19,8 +19,8 @@ full_domain_terms(digits, fn) is the term count for that domain; the
 cosine sums one term more than the sine, as in _sin_cos.
 
 The sine table runs the second-difference rule s_{k+1} = 2 cos(h) s_k -
-s_{k-1} over h = 3.75 degrees from one sin h and one cos h, and reads
-each entry off bigfixed.widen_until_settled, so it prints the same
+s_{k-1} on ints over h = 3.75 degrees from one sin h and one cos h, and
+reads each entry off bigfixed.widen_until_settled, so it prints the same
 digits for any GUARD >= 1.
 
 Every public operation takes a target scale and truncates its result to
@@ -45,7 +45,6 @@ from .bigfixed import (
     fd_from_ratio,
     fd_mul,
     fd_rescale,
-    fd_round,
     fd_sub,
     widen_until_settled,
 )
@@ -173,34 +172,36 @@ def build_sine_table(scale: int) -> tuple[tuple[int, FixedDec], ...]:
     """The 24 pairs (k, sin(k * 3.75 degrees)) of the traditional grid up
     to 90 degrees.
 
-    Entry k is the second-difference sine s_k rounded half-away at the
-    table scale, so the exact grid points (30 and 90 degrees) land on 0.5
-    and 1.  Its bracket is s_k +- _drift_ulp(k): first off the shared
-    recurrence, then, GUARD digits wider each time, off the recurrence
-    for entry k alone with step theta_k / k.  sin(theta_k) of a nonzero
-    rational theta_k is never a tie, so the widening ends.
+    Entry k is sin(theta_k) rounded half-away at the table scale, so the
+    exact grid points (30 and 90 degrees) land on 0.5 and 1.  Its bracket
+    is s_k +- _drift_ulp(k), half an ulp up so its floor rounds: first off
+    the shared recurrence, then, GUARD digits wider each time, off the
+    recurrence for entry k alone with step theta_k / k.  sin(theta_k) of a
+    nonzero rational theta_k is never a tie, so the widening ends.
     """
     if scale < 10:
         raise ValueError("sine table needs scale >= 10")
     start = scale + GUARD
     shared = _second_difference_sines(theta_t(table_degrees(1), scale), SINE_TABLE_SIZE, start)
-    def bracket(k: int, ws: int) -> tuple[FixedDec, FixedDec]:
+    def bracket(k: int, ws: int) -> tuple[int, int]:
         value = shared[k] if ws == start else _second_difference_sines(
             fd_divn(theta_t(table_degrees(k), scale), k, ws), k, ws)[k]
-        drift = FixedDec(1, _drift_ulp(k), ws)
-        return fd_sub(value, drift), fd_add(value, drift)
-    return tuple((k, widen_until_settled(lambda ws: bracket(k, ws), scale, start, fd_round))
+        mid, drift = value + 5 * 10 ** (ws - scale - 1), _drift_ulp(k)
+        return mid - drift, mid + drift
+    return tuple((k, widen_until_settled(lambda ws: bracket(k, ws), scale, start))
                  for k in range(1, SINE_TABLE_SIZE + 1))
 
 
-def _second_difference_sines(h: FixedDec, count: int, ws: int) -> list[FixedDec]:
-    """s_0 .. s_count at ws by the second-difference rule s_{k+1} =
-    2 cos(h) s_k - s_{k-1} from s_0 = 0 and _sin_cos's sin h and cos h."""
-    sin_h, cos_h = _sin_cos(h, ws)
-    two_cos_h = fd_mul(FixedDec.from_int(2), cos_h)
-    sines = [FixedDec.from_int(0, ws), sin_h]
+def _second_difference_sines(h: FixedDec, count: int, ws: int) -> list[int]:
+    """s_0 .. s_count in ulp at ws by the second-difference rule s_{k+1} =
+    2 cos(h) s_k - s_{k-1} from s_0 = 0 and _sin_cos's sin h and cos h,
+    for h > 0 and count * h <= pi/2: every s_k is positive, so each
+    floored product is the truncated one."""
+    sin_h, cos_h = (v.mantissa.to_int() for v in _sin_cos(h, ws))
+    two_cos_h, one = 2 * cos_h, 10**ws
+    sines = [0, sin_h]
     while len(sines) <= count:
-        sines.append(fd_sub(fd_mul(two_cos_h, sines[-1]), sines[-2]))
+        sines.append(two_cos_h * sines[-1] // one - sines[-2])
     return sines
 
 

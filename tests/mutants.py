@@ -73,12 +73,11 @@ MUTANTS = (
            "_FD_PATTERN.fullmatch(s)", "_FD_PATTERN.match(s)", (BIGFIXED,)),
     # the settle rule: its callers' tests must catch these, not only its own
     Mutant("settled-one-ulp-apart", "bigfixed.py",
-           "return low if low == high else None",
-           "return low if abs(fd_sub(high, low)) <= FixedDec(1, 1, scale) else None",
-           (PI_SERIES, TRIG_ORACLE, GUARD)),
+           "if low == high:", "if abs(high - low) <= 1:", (PI_SERIES, TRIG_ORACLE, GUARD)),
     Mutant("settled-reads-lo", "bigfixed.py",
-           "low, high = rounding(lo, scale), rounding(hi, scale)",
-           "low, high = rounding(lo, scale), rounding(lo, scale)", (PI_SERIES, TRIG_ORACLE, GUARD)),
+           "low, high = (end // 10 ** (ws - scale) for end in bracket(ws))",
+           "low, high = [bracket(ws)[0] // 10 ** (ws - scale)] * 2",
+           (PI_SERIES, TRIG_ORACLE, GUARD)),
     # the widening driver: its own tests stop a step-0 driver, which never ends
     Mutant("widen-step-zero", "bigfixed.py", "ws += GUARD", "ws += 0", (BIGFIXED,)),
     # series kernels
@@ -100,12 +99,12 @@ MUTANTS = (
            "s = fd_add(partial, corr if n % 2 == 0 else -corr)",
            "s = fd_add(partial, -corr if n % 2 == 0 else corr)", (PI_SERIES,)),
     Mutant("value-drift-zero", "pi_series.py",
-           "drift = FixedDec(1, ceil_m * (terms + 2) + 2, ws)", "drift = FixedDec(1, 0, ws)",
+           "drift = _ceil_multiplier(SERIES[series_id], 0) * (terms + 2) + 2", "drift = 0",
            (PI_SERIES,)),
-    # never falling back hangs on a terminating value; the straddle test stops it first
+    # never reading the exact floor hangs on a terminating value; the
+    # straddle test stops it first
     Mutant("fallback-never", "pi_series.py",
-           "fallback=lambda: _exact_floor(series_id, terms, correction, digits))", "fallback=None)",
-           (PI_SERIES,)),
+           "if ws > digits + 2 * GUARD:", "if False:", (PI_SERIES,)),
     # the printed bound is taken BOUND_DIGITS past the printed digits
     Mutant("bound-at-printed-digits", "pi_series.py",
            "scale = digits + BOUND_DIGITS", "scale = digits", (CLI_GOLDEN,)),
@@ -127,7 +126,7 @@ MUTANTS = (
     Mutant("for-scale-no-guard", "trig_series.py",
            "ws = scale + ANGLE_DIGITS", "ws = scale", (TRIG,)),
     Mutant("recurrence-factor-one", "trig_series.py",
-           "fd_mul(FixedDec.from_int(2), cos_h)", "fd_mul(FixedDec.from_int(1), cos_h)", (TRIG,)),
+           "two_cos_h, one = 2 * cos_h, 10**ws", "two_cos_h, one = 1 * cos_h, 10**ws", (TRIG,)),
     Mutant("table-cos-sine-count", "trig_series.py",
            "for k in range(terms, 0, -1):", "for k in range(terms - 1, 0, -1):", (GUARD, TRIG)),
     Mutant("pair-sine-divisor-cosine", "trig_series.py",
@@ -140,8 +139,12 @@ MUTANTS = (
     Mutant("drift-margin-linear", "trig_series.py",
            "return 3 * k * k", "return 3 * k", (TRIG_ORACLE,)),
     Mutant("tie-fallback-never", "trig_series.py",
-           "FixedDec(1, _drift_ulp(k), ws)", "FixedDec(1, 0 * _drift_ulp(k), ws)",
-           (TRIG_ORACLE,)),
+           "drift = value + 5 * 10 ** (ws - scale - 1), _drift_ulp(k)",
+           "drift = value + 5 * 10 ** (ws - scale - 1), 0 * _drift_ulp(k)", (TRIG_ORACLE,)),
+    # the table's bracket sits half an ulp up, so its floor rounds half away
+    Mutant("table-half-low", "trig_series.py",
+           "value + 5 * 10 ** (ws - scale - 1)", "value + 4 * 10 ** (ws - scale - 1)",
+           (TRIG, TRIG_ORACLE)),
     Mutant("full-domain-half-pi", "trig_series.py",
            "sin_terms_for(digits, 3142)", "sin_terms_for(digits, 1571)", (TRIG_ORACLE, CLI)),
     Mutant("table-step-four-degrees", "trig_series.py",

@@ -25,7 +25,6 @@ from madhava.bigfixed import (
     fd_round,
     fd_sub,
     fd_to_string,
-    settled,
     widen_until_settled,
 )
 from conftest import as_fraction
@@ -352,43 +351,67 @@ class TestFixedDec:
                 assert [op(a, b) for op in ops] == [op(fa, fb) for op in ops], (a, b)
 
 
-def half_away(q: Fraction, scale: int) -> Fraction:
-    """q rounded half away from zero at the scale."""
-    m = math.floor(abs(q) * 10**scale + Fraction(1, 2))
-    return Fraction(m if q >= 0 else -m, 10**scale)
+class Straddled(Exception):
+    """A second bracket asked for, past the one a test gives."""
+
+
+def read_once(lo: int, hi: int, scale: int, ws: int) -> str | None:
+    """What widen_until_settled reads at scale off the one bracket (lo,
+    hi) at ws, or None when it asks for another."""
+    asked = []
+
+    def bracket(w):
+        if asked:
+            raise Straddled
+        asked.append(w)
+        assert w == ws
+        return lo, hi
+
+    try:
+        return fd_to_string(widen_until_settled(bracket, scale, ws))
+    except Straddled:
+        return None
 
 
 class TestSettled:
-    def test_common_value_or_none(self):
-        def at(lo, hi, scale, rounding=fd_rescale):
-            got = settled(fd_from_string(lo), fd_from_string(hi), scale, rounding)
-            return None if got is None else fd_to_string(got)
+    """The settle rule: both ends of an int bracket at ws, floored at the
+    scale, give the value, or the driver widens."""
 
-        assert at("3.14159", "3.14161", 3) == "3.141"
-        assert at("3.14161", "3.14159", 3) == "3.141"
-        assert at("3.14099", "3.14101", 3) is None
-        assert at("-0.0009", "0.0009", 3) == "0.000"
-        assert at("0.12345", "0.12354", 4, fd_round) == "0.1235"
-        assert at("0.12354", "0.12356", 4, fd_round) is None
-        assert at("0.12349", "0.12349", 4, fd_round) == "0.1235"
-        # ends one ulp apart at the scale never settle
-        assert at("2.000", "2.001", 3) is None
-        assert at("2.0005", "2.0015", 3, fd_round) is None
+    def test_common_floor_or_widen(self):
+        assert read_once(314159, 314161, 3, 5) == "3.141"
+        assert read_once(314099, 314101, 3, 5) is None
+        assert read_once(9, 9, 0, 1) == "0"
+        # a floored end at the scale itself: ends one ulp apart never settle
+        assert read_once(2000, 2000, 3, 3) == "2.000"
+        assert read_once(2000, 2001, 3, 3) is None
+        # ends are floored, not truncated: a negative end straddles zero
+        assert read_once(0, 9, 3, 4) == "0.000"
+        assert read_once(-9, 9, 3, 4) is None
 
-    @pytest.mark.parametrize("rounding, oracle", [(fd_rescale, truncated), (fd_round, half_away)])
-    def test_matches_fraction(self, rounding, oracle):
+    def test_negative_floor_refused(self):
+        # x >= 0: a bracket that floors below zero at both ends is a bug
+        # in its caller, which FixedDec refuses rather than print
+        with pytest.raises(ValueError):
+            read_once(-19, -11, 0, 1)
+
+    def test_matches_fraction(self):
+        # ends around x * 10**ws for a random x >= 0: the driver settles
+        # exactly when both floors at the scale agree, on the Fraction
+        # floor of x
         rng = random.Random(2024)
         for _ in range(400):
             scale, wide = rng.randrange(0, 8), rng.randrange(0, 4)
-            lo = rng.randrange(-10**9, 10**9)
-            ends = [FixedDec(1 if m >= 0 else -1, BigNat.from_int(abs(m)), scale + wide)
-                    for m in (lo, lo + rng.randrange(0, 2 * 10**wide))]
-            want = {oracle(as_fraction(end), scale) for end in ends}
-            got = settled(*ends, scale, rounding)
+            ws = scale + wide
+            x = Fraction(rng.randrange(0, 10**12), rng.randrange(1, 10**6))
+            mid = math.floor(x * 10**ws)
+            lo, hi = mid - rng.randrange(0, 10**wide), mid + rng.randrange(0, 10**wide)
+            want = {math.floor(Fraction(end, 10**wide)) for end in (lo, hi)}
+            got = read_once(lo, hi, scale, ws)
             if len(want) == 2:
                 assert got is None
             else:
-                assert got.scale == scale and {as_fraction(got)} == want
+                assert want == {math.floor(x * 10**scale)}
+                assert got == fd_to_string(FixedDec(1, want.pop(), scale))
 
 
 class TestWidenUntilSettled:
@@ -405,27 +428,27 @@ class TestWidenUntilSettled:
 
         return bracket, seen
 
-    @pytest.mark.parametrize("rounding, want", [(fd_rescale, "0.66"), (fd_round, "0.67")])
-    def test_widens_by_guard_until_the_ends_agree(self, rounding, want):
+    def test_widens_by_guard_until_the_ends_agree(self):
         # 2/3 -+ 10**-(1 + retries): 0.1 and 0.01 straddle at scale 2, 0.001 settles
         def ends(ws):
             mid, half = 2 * 10**ws // 3, 10 ** (ws - 1 - (ws - 5) // GUARD)
-            return FixedDec(1, mid - half, ws), FixedDec(1, mid + half, ws)
+            return mid - half, mid + half
 
         bracket, seen = self.recording(ends)
-        assert fd_to_string(widen_until_settled(bracket, 2, 5, rounding)) == want
+        got = widen_until_settled(bracket, 2, 5)
+        assert (got.sign, got.mantissa.to_int(), got.scale) == (1, 66, 2)
         assert seen == [5, 5 + GUARD, 5 + 2 * GUARD]
 
-    def test_fallback_after_one_widening(self):
-        # the ends straddle 1/2, a rounding tie at scale 0, at every ws
+    def test_an_exact_floor_settles_a_terminating_value(self):
+        # 1 -+ one ulp straddles 1 at scale 0 at every ws; a bracket whose
+        # ends are both the exact floor, as evaluate's third one, settles it
         def ends(ws):
-            half = FixedDec(1, 5 * 10 ** (ws - 1), ws)
-            return fd_sub(half, FixedDec(1, 1, ws)), half
+            one = 10**ws
+            return (one, one) if ws > 3 + GUARD else (one - 1, one + 1)
 
         bracket, seen = self.recording(ends)
-        got = widen_until_settled(bracket, 0, 3, fd_round, lambda: FixedDec.from_int(7))
-        assert fd_to_string(got) == "7"
-        assert seen == [3, 3 + GUARD]
+        assert fd_to_string(widen_until_settled(bracket, 0, 3)) == "1"
+        assert seen == [3, 3 + GUARD, 3 + 2 * GUARD]
 
 
 class TestLargeOperands:

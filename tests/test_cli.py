@@ -533,11 +533,13 @@ class TestBrokenPipe:
         assert code == 141
 
 
-# an atexit hook reports the collector's permanent generation once the
-# process is done, after run's sys.exit
+# an atexit hook reports how much the collector's permanent generation
+# grew since before the import, once the process is done, after run's
+# sys.exit; an interpreter may start with objects there (3.12 does)
 FREEZE_PROBE = """\
 import atexit, gc, sys
-atexit.register(lambda: print("frozen", gc.get_freeze_count(), file=sys.stderr))
+before = gc.get_freeze_count()
+atexit.register(lambda: print("frozen", gc.get_freeze_count() - before, file=sys.stderr))
 import madhava.cli as cli
 {call}
 """

@@ -13,7 +13,7 @@ from math import isqrt
 import pytest
 
 from madhava import pi_series
-from madhava.bigfixed import BigNat, FixedDec, fd_add, fd_rescale, fd_sub, fd_to_string
+from madhava.bigfixed import BigNat, FixedDec, fd_rescale, fd_to_string
 from madhava.pi_series import (
     AUX_A,
     AUX_B,
@@ -496,7 +496,7 @@ class TestPiReference:
             for n in (1, 2, 17):
                 s = exact_sum(series_id, correction, n)
                 got = _exact_floor(series_id, n, correction, 40)
-                assert got.mantissa.to_int() == exact_floor(series_id, s, 40), (series_id, n)
+                assert got == exact_floor(series_id, s, 40), (series_id, n)
 
     def test_memoised_by_scale(self):
         assert pi_reference(33) is pi_reference(33)
@@ -576,27 +576,27 @@ class TestExactSum:
         s = exact_sum(series_id, correction, 4000)
         for digits in (0, 40, 2000):
             got = _exact_floor(series_id, 4000, correction, digits)
-            want = exact_floor(series_id, s, digits)
-            assert (got.sign, got.mantissa.to_int(), got.scale) == (1, want, digits), digits
+            assert got == exact_floor(series_id, s, digits), digits
 
 
 class TestEvaluateDigits:
-    # first in the class: a driver that never falls back hangs on the
-    # terminating values in the tests below, and this test stops it first
+    # first in the class: an evaluate that never reads the exact floor
+    # hangs on the terminating values in the tests below, and this test
+    # stops it first
     @pytest.mark.parametrize("series_id, correction", PRINTED_MODES)
     def test_two_straddled_brackets_fall_back_to_the_exact_floor(
             self, series_id, correction, monkeypatch):
         # a whole unit more on each end straddles every try, so each value
-        # takes the widening and then the exact fallback; a third bracket
-        # means the driver never falls back
+        # takes two kernel brackets and then the exact floor; a third
+        # kernel bracket means evaluate never reads the exact floor
         bracket, seen = pi_series._value_bracket, []
 
         def straddled(*args):
             seen.append(args[-1])
-            assert len(seen) <= 2, "a third bracket: the fallback never ran"
+            assert len(seen) <= 2, "a third kernel bracket: the exact floor never ran"
             lo, hi = bracket(*args)
-            one = FixedDec.from_int(1, lo.scale)
-            return fd_sub(lo, one), fd_add(hi, one)
+            one = 10 ** args[-1]
+            return lo - one, hi + one
 
         monkeypatch.setattr(pi_series, "_value_bracket", straddled)
         for n in (1, 2, 17, 60):
@@ -615,7 +615,7 @@ class TestEvaluateDigits:
         for n in (1, 2, 3, 17, 60, 200):
             s = exact_sum(series_id, correction, n)
             for ws in (11, 25, 50):
-                lo, hi = (as_fraction(end) for end in _value_bracket(series_id, n, correction, ws))
+                lo, hi = (Fraction(end, 10**ws) for end in _value_bracket(series_id, n, correction, ws))
                 if series_id == SQRT12:
                     square = multiplier * s * s
                     assert hi > 0 and square < hi * hi and (lo <= 0 or lo * lo < square), (n, ws)

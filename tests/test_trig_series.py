@@ -33,6 +33,7 @@ from madhava.trig_series import (
     SIN,
     SIN_DIFF,
     SIN_SUM,
+    SINE_TABLE_SIZE,
     SINSQ,
     angle_add,
     build_sine_table,
@@ -251,6 +252,27 @@ class TestSineTable:
         for k, value in table:
             if k in frozen:
                 assert fd_to_string(fd_round(value, 8)) == frozen[k]
+
+    # at table scale 10, every s_k is 0.1234567890 + offset * 10**-20 -+
+    # drift ulp at the working scale 10 + GUARD = 20; a rerun GUARD digits
+    # wider gives the same value
+    @pytest.mark.parametrize("offset, drift, want", [
+        (5 * 10**9 - 8, 7, "0.1234567890"),  # the whole bracket below the half
+        (5 * 10**9 + 7, 7, "0.1234567891"),  # the whole bracket from the half up
+        (5 * 10**9, 0, "0.1234567891"),      # an exact half rounds away
+        (5 * 10**9 - 3, 7, "0.1234567890"),  # straddles the half; the rerun settles
+    ])
+    def test_entries_round_half_away(self, offset, drift, want, monkeypatch):
+        calls = []
+
+        def sines(h, count, ws):
+            calls.append(ws)
+            return [(1234567890 * 10**10 + offset) * 10 ** (ws - 20)] * (count + 1)
+
+        monkeypatch.setattr(trig_series, "_second_difference_sines", sines)
+        monkeypatch.setattr(trig_series, "_drift_ulp", lambda k: drift)
+        assert {fd_to_string(v) for _, v in build_sine_table(10)} == {want}
+        assert len(calls) == (SINE_TABLE_SIZE + 1 if offset == 5 * 10**9 - 3 else 1)
 
     def test_scale_precondition(self):
         with pytest.raises(ValueError):
