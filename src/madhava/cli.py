@@ -51,6 +51,7 @@ from .geometry import circumradius
 from .pi_series import (
     CORRECTIONS,
     DEFAULT_TERM_CAP,
+    LEIBNIZ,
     MADHAVA_CIRCUMFERENCE,
     NO_CORRECTION,
     SCALE_CAP,
@@ -60,7 +61,7 @@ from .pi_series import (
     corrections_for,
     error_bound,
     evaluate,
-    leibniz_sweep,
+    exact_floor,
     madhava_pi_value,
     pi_reference,
 )
@@ -167,13 +168,13 @@ def _check_sine_table() -> VerifyCheck:
 
 
 def _check_hierarchy() -> VerifyCheck:
+    """The F1-F3 errors against pi, on the exact floors at scale 40 that
+    ``converge --scale 40 --corrections all`` prints: no truncated sum."""
     scale = 40
-    pi_ref = pi_reference(scale)
+    pi_ref = pi_reference(scale).mantissa.to_int()
     first_violation = None
-    for n, values in leibniz_sweep(50, scale):
-        if n < 2:
-            continue
-        errs = [abs(fd_sub(values[mode], pi_ref)) for mode in CORRECTIONS]
+    for n in range(2, 51):
+        errs = [abs(exact_floor(LEIBNIZ, n, mode, scale) - pi_ref) for mode in CORRECTIONS]
         if not all(later < earlier for earlier, later in zip(errs, errs[1:])):
             first_violation = n
             break

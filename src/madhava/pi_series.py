@@ -30,9 +30,6 @@ divide the shared value by those powers (for sqrt12 once every 12 to 17
 terms).  So sqrt12 divides only by one limb and a term costs one O(scale)
 pass rather than a multi-limb division by a scale-digit denominator; the
 mantissas are those of the full quotient, bit for bit.
-``leibniz_sweep`` reads the same kernel once to give the plain and the
-F1-F3 corrected Leibniz values for every n up to a bound in O(n) terms,
-each bit-identical to ``leibniz_partial`` / ``leibniz_corrected``.
 
 ``pi_reference`` is the one source of pi, computed once per scale and
 memoised; every module that needs pi reads it.  It does not use the
@@ -40,15 +37,16 @@ truncated kernel: it brackets pi between sqrt(12) times two consecutive
 exact sqrt12 partial sums.  Exact sums are plain ints: ``_exact_sum``
 takes any series' by binary splitting, and ``_floor_times_m`` floors m
 times one (a root multiplier by squares) for ``pi_reference``,
-``_exact_floor`` and ``terms_for_digits``.
+``exact_floor``, ``terms_for_digits`` and the kernel's multiplier.
 
 Numerical contract: the kernel floors each term at its working scale;
 ``_value_bracket`` bounds, in ints, its drift from m times the exact sum
 S.  ``evaluate``, the one printed pi value of ``pi`` and ``converge``,
-returns floor(m * S * 10**d) off bigfixed.widen_until_settled, its third
-bracket ``_exact_floor``; ``error_bound``, the bound ``pi`` prints beside
-it, is taken at d + BOUND_DIGITS (n + 4 ulp of drift).  GUARD sets no
-printed digit.
+returns floor(m * S * 10**d) off bigfixed.widen_until_settled: one
+kernel bracket, then ``exact_floor``; ``error_bound``, the bound ``pi``
+prints beside it, is taken at d + BOUND_DIGITS (n + 4 ulp of drift).
+GUARD sets no printed digit.  ``exact_floor`` is also the referee of
+``verify``'s F1-F3 hierarchy, so that check reads no truncated sum.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from .bigfixed import (
     FixedDec,
     fd_add,
     fd_from_ratio,
-    fd_isqrt,
     fd_mul,
     fd_round,
     widen_until_settled,
@@ -205,9 +202,9 @@ def _partial_sum(series: SeriesDef, n: int, scale: int) -> FixedDec:
 
 
 def _multiplier(series: SeriesDef, scale: int) -> FixedDec:
-    """The multiplier; a root is truncated at scale."""
-    m = FixedDec.from_int(series.multiplier)
-    return fd_isqrt(m, scale) if series.root else m
+    """The multiplier floored at scale, a root by the one floor-root rule
+    of _floor_times_m."""
+    return FixedDec(1, _floor_times_m(series, 1, 1, scale), scale)
 
 
 def _series_value(series: SeriesDef, n: int, scale: int) -> FixedDec:
@@ -233,35 +230,16 @@ def correction_term(n: int, variant: str, scale: int) -> FixedDec:
     return fd_from_ratio(num, den, scale)
 
 
-def _corrected(partial: FixedDec, n: int, corr: FixedDec) -> FixedDec:
-    """4 * (partial + (-1)**n * corr) for the n-term Leibniz partial sum.
+def leibniz_corrected(n: int, variant: str, scale: int) -> FixedDec:
+    """4 * (n-term Leibniz sum + (-1)**n * F_variant(n)).
 
     The correction sign follows the series: it continues the alternation
     after the n-th term.
     """
-    s = fd_add(partial, corr if n % 2 == 0 else -corr)
-    return fd_mul(s, _multiplier(SERIES[LEIBNIZ], partial.scale))
-
-
-def leibniz_corrected(n: int, variant: str, scale: int) -> FixedDec:
-    """4 * (n-term Leibniz sum + (-1)**n * F_variant(n))."""
     corr = correction_term(n, variant, scale)
-    return _corrected(_partial_sum(SERIES[LEIBNIZ], n, scale), n, corr)
-
-
-def leibniz_sweep(n_max: int, scale: int) -> Iterator[tuple[int, dict[str, FixedDec]]]:
-    """(n, {mode: value}) for n = 1..n_max and every mode in CORRECTIONS,
-    from one pass over the Leibniz terms.  Each value is bit-identical to
-    leibniz_partial(n, scale) or leibniz_corrected(n, mode, scale).
-    n_max is checked against the term cap when iteration starts."""
-    _check_terms(n_max)
     series = SERIES[LEIBNIZ]
-    multiplier = _multiplier(series, scale)
-    for n, partial in enumerate(_running_sums(series, n_max, scale), 1):
-        values = {NO_CORRECTION: fd_mul(partial, multiplier)}
-        for variant in CORRECTION_TERMS:
-            values[variant] = _corrected(partial, n, correction_term(n, variant, scale))
-        yield n, values
+    s = fd_add(_partial_sum(series, n, scale), corr if n % 2 == 0 else -corr)
+    return fd_mul(s, _multiplier(series, scale))
 
 
 def aux_series(series_id: str, n: int, scale: int) -> FixedDec:
@@ -426,9 +404,10 @@ def _floor_times_m(series: SeriesDef, num: int, den: int, digits: int) -> int:
     return math.isqrt(floor) if series.root else floor
 
 
-def _exact_floor(series_id: str, terms: int, correction: str, digits: int) -> int:
+def exact_floor(series_id: str, terms: int, correction: str, digits: int) -> int:
     """floor(m * S * 10**digits) on plain ints, S > 0 the _exact_sum plus
-    the lead and the signed correction."""
+    the lead and the signed correction: the mantissa evaluate returns,
+    without the kernel."""
     series = SERIES[series_id]
     num, den = _exact_sum(series, terms)
     lead_num, lead_den = series.lead or (0, 1)
@@ -442,9 +421,11 @@ def _exact_floor(series_id: str, terms: int, correction: str, digits: int) -> in
 def evaluate(series_id: str, terms: int, correction: str, digits: int) -> FixedDec:
     """The printed pi value: floor(m * S * 10**digits) for the exact n-term
     value m * S, end-correction included, read off _value_bracket at ws =
-    digits + GUARD and digits + 2 * GUARD, then off _exact_floor, for a
-    value that no widening separates (leibniz's 4 at n = 1).  Equal
-    arguments give bit-identical results."""
+    digits + GUARD.  A bracket that straddles a digit boundary, as every
+    value that no widening separates does (leibniz's 4 at n = 1), is
+    settled by exact_floor in place of a second kernel run (for sqrt12 at
+    600 digits a tenth of its cost).  Equal arguments give bit-identical
+    results."""
     _series(series_id)
     if terms < 1:
         raise ValueError("terms must be >= 1")
@@ -455,8 +436,8 @@ def evaluate(series_id: str, terms: int, correction: str, digits: int) -> FixedD
     if digits < 0:
         raise ValueError("digits must be >= 0")
     def bracket(ws: int) -> tuple[int, int]:
-        if ws > digits + 2 * GUARD:
-            return (_exact_floor(series_id, terms, correction, ws),) * 2
+        if ws > digits + GUARD:
+            return (exact_floor(series_id, terms, correction, ws),) * 2
         return _value_bracket(series_id, terms, correction, ws)
     return widen_until_settled(bracket, digits, digits + GUARD)
 

@@ -96,15 +96,14 @@ MUTANTS = (
     Mutant("split-join-drops-ratio", "pi_series.py",
            "t1 * d2 * q2 + t2 * d1", "t1 * d2 + t2 * d1", (PI_SERIES,)),
     Mutant("correction-sign-flipped", "pi_series.py",
-           "s = fd_add(partial, corr if n % 2 == 0 else -corr)",
-           "s = fd_add(partial, -corr if n % 2 == 0 else corr)", (PI_SERIES,)),
+           "corr if n % 2 == 0 else -corr)", "-corr if n % 2 == 0 else corr)", (PI_SERIES,)),
     Mutant("value-drift-zero", "pi_series.py",
            "drift = _ceil_multiplier(SERIES[series_id], 0) * (terms + 2) + 2", "drift = 0",
            (PI_SERIES,)),
     # never reading the exact floor hangs on a terminating value; the
-    # straddle test stops it first
+    # straddle test stops it at the second kernel bracket
     Mutant("fallback-never", "pi_series.py",
-           "if ws > digits + 2 * GUARD:", "if False:", (PI_SERIES,)),
+           "if ws > digits + GUARD:", "if False:", (PI_SERIES,)),
     # the printed bound is taken BOUND_DIGITS past the printed digits
     Mutant("bound-at-printed-digits", "pi_series.py",
            "scale = digits + BOUND_DIGITS", "scale = digits", (CLI_GOLDEN,)),
@@ -162,6 +161,9 @@ MUTANTS = (
     # command line
     Mutant("converge-cap-raised", "cli.py",
            "if terms > DEFAULT_TERM_CAP:", "if terms > DEFAULT_TERM_CAP + 1000:", (CLI,)),
+    # the hierarchy must compare every mode, F3 included
+    Mutant("hierarchy-skips-f3", "cli.py",
+           "for mode in CORRECTIONS]", "for mode in CORRECTIONS[:-1]]", (CLI,)),
     Mutant("verify-passes-if-any", "cli.py",
            "passed = all(c.passed for c in checks)", "passed = any(c.passed for c in checks)",
            (CLI,)),

@@ -140,18 +140,28 @@ class TestVerifyCommand:
                          "venvaroha_epoch", "sine_table_8_digits", "correction_hierarchy"]
 
     def test_hierarchy_reports_a_violation(self, monkeypatch):
-        sweep = cli.leibniz_sweep
+        floor = cli.exact_floor
 
-        def broken(n_max, scale):
-            for n, values in sweep(n_max, scale):
-                if n == 7:
-                    values = {**values, "f3": values["f2"]}  # err(F3) == err(F2)
-                yield n, values
+        def broken(series_id, n, mode, scale):
+            if n == 7 and mode == "f3":
+                mode = "f2"  # err(F3) == err(F2)
+            return floor(series_id, n, mode, scale)
 
-        monkeypatch.setattr(cli, "leibniz_sweep", broken)
+        monkeypatch.setattr(cli, "exact_floor", broken)
         check = cli._check_hierarchy()
         assert not check.passed
         assert check.computed == "violated at n=7"
+
+    def test_hierarchy_reads_no_truncated_kernel(self, monkeypatch):
+        # the hierarchy is a claim about exact values, refereed by the
+        # exact floor; the running-sum kernel must not be read
+        def refuse(*args):
+            raise AssertionError("the hierarchy check read the truncated kernel")
+
+        monkeypatch.setattr(pi_series, "_running_sums", refuse)
+        check = cli._check_hierarchy()
+        assert check.passed
+        assert check.computed == "holds for n=2..50"
 
 
 class TestSineSum:

@@ -8,7 +8,9 @@ give the bytes that the shipped GUARD = 10 gives.  That covers what
 whatever GUARD is, the four terminating values below (4, 3, 3.2 and
 3.2, which no widening separates) through evaluate's exact
 fallback, and the errors converge prints are taken against
-pi_reference.  GUARD is moved in every module that binds it, and the
+pi_reference.  ``verify`` prints the same at every GUARD too: its pi
+digits and sine table are settled, and its F1-F3 hierarchy reads the
+exact floor.  GUARD is moved in every module that binds it, and the
 pi memo is cleared around each run, so nothing computed at one GUARD is
 read at another.
 """
@@ -40,6 +42,7 @@ CLI_RUNS = (
     ("pi", "--series", "aux-c", "--terms", "1"),
     ("converge", "--series", "leibniz,sqrt12", "--corrections", "all", "--n-max", "20"),
 )
+VERIFY_RUNS = (("verify",), ("verify", "--format", "json"))
 
 
 @contextmanager
@@ -61,10 +64,10 @@ def settled_digits(guard: int, table_scales: tuple[int, ...]) -> tuple[list[str]
 
 
 @cache
-def cli_stdout(guard: int) -> list[str]:
+def cli_stdout(guard: int, runs: tuple[tuple[str, ...], ...] = CLI_RUNS) -> list[str]:
     out = []
     with guard_at(guard):
-        for argv in CLI_RUNS:
+        for argv in runs:
             buf = io.StringIO()
             with redirect_stdout(buf):
                 assert madhava.cli.main(list(argv)) == 0
@@ -90,3 +93,8 @@ def test_settled_digits_do_not_depend_on_guard(guard, table_scales):
 @pytest.mark.parametrize("guard", (1, 2, 5, 30))
 def test_pi_and_converge_stdout_do_not_depend_on_guard(guard):
     assert cli_stdout(guard) == cli_stdout(10)
+
+
+@pytest.mark.parametrize("guard", (1, 2, 5, 30))
+def test_verify_stdout_does_not_depend_on_guard(guard):
+    assert cli_stdout(guard, VERIFY_RUNS) == cli_stdout(10, VERIFY_RUNS)

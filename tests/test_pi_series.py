@@ -32,7 +32,6 @@ from madhava.pi_series import (
     SERIES_IDS,
     SQRT12,
     SeriesDef,
-    _exact_floor,
     _exact_sum,
     _partial_sum,
     _running_sums,
@@ -46,7 +45,6 @@ from madhava.pi_series import (
     evaluate,
     leibniz_corrected,
     leibniz_partial,
-    leibniz_sweep,
     madhava_pi_value,
     pi_reference,
     pi_sqrt12,
@@ -110,23 +108,6 @@ class TestCorrections:
             assert errs[3] < errs[2] < errs[1] < errs[0], f"hierarchy broken at n={n}"
 
 
-def sweep_oracle(n_max, scale):
-    """Plain-int model of leibniz_sweep: (n, {mode: signed mantissa}),
-    each quotient floored at the scale before its sign is applied."""
-    unit = 10**scale
-    formulas = {F1: lambda n: (1, 4 * n), F2: lambda n: (n, 4 * n * n + 1),
-                F3: lambda n: (n * n + 1, n * (4 * n * n + 5))}
-    total = 0
-    for n in range(1, n_max + 1):
-        sign = 1 if n % 2 else -1  # sign of the n-th term; the correction's is -sign
-        total += sign * (unit // (2 * n - 1))
-        values = {NO_CORRECTION: 4 * total}
-        for mode, formula in formulas.items():
-            num, den = formula(n)
-            values[mode] = 4 * (total - sign * (num * unit // den))
-        yield n, values
-
-
 def parts(x):
     return x.sign * x.mantissa.to_int(), x.scale
 
@@ -143,29 +124,6 @@ def divisor_limbs(monkeypatch):
 
     monkeypatch.setattr(BigNat, "__divmod__", recording)
     return log
-
-
-class TestLeibnizSweep:
-    @pytest.mark.parametrize("scale", [6, 18, 40])
-    def test_matches_int_oracle(self, scale):
-        got = [(n, {mode: parts(v) for mode, v in values.items()})
-               for n, values in leibniz_sweep(60, scale)]
-        want = [(n, {mode: (m, scale) for mode, m in values.items()})
-                for n, values in sweep_oracle(60, scale)]
-        assert got == want
-
-    @pytest.mark.parametrize("scale", [6, 18, 40])
-    def test_bit_identical_to_single_calls(self, scale):
-        for n, values in leibniz_sweep(60, scale):
-            assert parts(values[NO_CORRECTION]) == parts(leibniz_partial(n, scale))
-            for variant in (F1, F2, F3):
-                assert parts(values[variant]) == parts(leibniz_corrected(n, variant, scale))
-
-    def test_term_count_checked(self):
-        with pytest.raises(ValueError):
-            next(leibniz_sweep(0, 6))
-        with pytest.raises(TermCountError):
-            next(leibniz_sweep(DEFAULT_TERM_CAP + 1, 6))
 
 
 class TestAuxSeries:
@@ -495,7 +453,7 @@ class TestPiReference:
         for series_id, correction in PRINTED_MODES:
             for n in (1, 2, 17):
                 s = exact_sum(series_id, correction, n)
-                got = _exact_floor(series_id, n, correction, 40)
+                got = pi_series.exact_floor(series_id, n, correction, 40)
                 assert got == exact_floor(series_id, s, 40), (series_id, n)
 
     def test_memoised_by_scale(self):
@@ -575,7 +533,7 @@ class TestExactSum:
     def test_exact_floor_at_4000_terms(self, series_id, correction):
         s = exact_sum(series_id, correction, 4000)
         for digits in (0, 40, 2000):
-            got = _exact_floor(series_id, 4000, correction, digits)
+            got = pi_series.exact_floor(series_id, 4000, correction, digits)
             assert got == exact_floor(series_id, s, digits), digits
 
 
@@ -584,16 +542,17 @@ class TestEvaluateDigits:
     # hangs on the terminating values in the tests below, and this test
     # stops it first
     @pytest.mark.parametrize("series_id, correction", PRINTED_MODES)
-    def test_two_straddled_brackets_fall_back_to_the_exact_floor(
+    def test_a_straddled_bracket_falls_back_to_the_exact_floor(
             self, series_id, correction, monkeypatch):
         # a whole unit more on each end straddles every try, so each value
-        # takes two kernel brackets and then the exact floor; a third
-        # kernel bracket means evaluate never reads the exact floor
+        # takes one kernel bracket and then the exact floor; a second
+        # kernel bracket means evaluate runs the kernel where the exact
+        # floor is cheaper, or never reads it
         bracket, seen = pi_series._value_bracket, []
 
         def straddled(*args):
             seen.append(args[-1])
-            assert len(seen) <= 2, "a third kernel bracket: the exact floor never ran"
+            assert len(seen) <= 1, "a second kernel bracket before the exact floor"
             lo, hi = bracket(*args)
             one = 10 ** args[-1]
             return lo - one, hi + one
@@ -604,7 +563,7 @@ class TestEvaluateDigits:
             for digits in (0, 1, 12, 40):
                 seen.clear()
                 got = evaluate(series_id, n, correction, digits)
-                assert seen == [digits + GUARD, digits + 2 * GUARD]
+                assert seen == [digits + GUARD]
                 want = exact_floor(series_id, s, digits)
                 assert (got.sign, got.mantissa.to_int(), got.scale) == (1, want, digits), (n, digits)
 
