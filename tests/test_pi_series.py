@@ -107,6 +107,40 @@ class TestCorrections:
                 errs.append(abs(as_fraction(leibniz_corrected(n, variant, scale)) - pi_ref))
             assert errs[3] < errs[2] < errs[1] < errs[0], f"hierarchy broken at n={n}"
 
+    @pytest.mark.parametrize("scale", [6, 18, 40])
+    def test_matches_int_oracle(self, scale):
+        for n, values in truncation_oracle(60, scale):
+            assert parts(leibniz_partial(n, scale)) == (values[NO_CORRECTION], scale), n
+            for variant in (F1, F2, F3):
+                got = parts(leibniz_corrected(n, variant, scale))
+                assert got == (values[variant], scale), (n, variant)
+
+    def test_term_count_checked(self):
+        for call in (lambda n: leibniz_partial(n, 6),
+                     lambda n: leibniz_corrected(n, F2, 6)):
+            with pytest.raises(ValueError):
+                call(0)
+            with pytest.raises(TermCountError):
+                call(DEFAULT_TERM_CAP + 1)
+
+
+def truncation_oracle(n_max, scale):
+    """Plain-int model of leibniz_partial and leibniz_corrected:
+    (n, {mode: signed mantissa}), each quotient floored at the scale
+    before its sign is applied."""
+    unit = 10**scale
+    formulas = {F1: lambda n: (1, 4 * n), F2: lambda n: (n, 4 * n * n + 1),
+                F3: lambda n: (n * n + 1, n * (4 * n * n + 5))}
+    total = 0
+    for n in range(1, n_max + 1):
+        sign = 1 if n % 2 else -1  # sign of the n-th term; the correction's is -sign
+        total += sign * (unit // (2 * n - 1))
+        values = {NO_CORRECTION: 4 * total}
+        for mode, formula in formulas.items():
+            num, den = formula(n)
+            values[mode] = 4 * (total - sign * (num * unit // den))
+        yield n, values
+
 
 def parts(x):
     return x.sign * x.mantissa.to_int(), x.scale
