@@ -42,11 +42,11 @@ times one (a root multiplier by squares) for ``pi_reference``,
 Numerical contract: the kernel floors each term at its working scale;
 ``_value_bracket`` bounds, in ints, its drift from m times the exact sum
 S.  ``evaluate``, the one printed pi value of ``pi`` and ``converge``,
-returns floor(m * S * 10**d) off bigfixed.widen_until_settled: one
-kernel bracket, then ``exact_floor``; ``error_bound``, the bound ``pi``
-prints beside it, is taken at d + BOUND_DIGITS (n + 4 ulp of drift).
-GUARD sets no printed digit.  ``exact_floor`` is also the referee of
-``verify``'s F1-F3 hierarchy, so that check reads no truncated sum.
+returns floor(m * S * 10**d) off bigfixed.widen_until_settled, its third
+bracket ``exact_floor``; ``error_bound``, the bound ``pi`` prints beside
+it, is taken at d + BOUND_DIGITS (n + 4 ulp of drift).  GUARD sets no
+printed digit.  ``exact_floor`` is also the referee of ``verify``'s F1-F3
+hierarchy, so that check reads no truncated sum.
 """
 
 from __future__ import annotations
@@ -202,8 +202,10 @@ def _partial_sum(series: SeriesDef, n: int, scale: int) -> FixedDec:
 
 
 def _multiplier(series: SeriesDef, scale: int) -> FixedDec:
-    """The multiplier floored at scale, a root by the one floor-root rule
-    of _floor_times_m."""
+    """The multiplier: an integer at scale 0, so a product needs no
+    rescale, and a root floored at scale by the floor-root rule of
+    _floor_times_m."""
+    scale = scale if series.root else 0
     return FixedDec(1, _floor_times_m(series, 1, 1, scale), scale)
 
 
@@ -421,10 +423,11 @@ def exact_floor(series_id: str, terms: int, correction: str, digits: int) -> int
 def evaluate(series_id: str, terms: int, correction: str, digits: int) -> FixedDec:
     """The printed pi value: floor(m * S * 10**digits) for the exact n-term
     value m * S, end-correction included, read off _value_bracket at ws =
-    digits + GUARD.  A bracket that straddles a digit boundary, as every
-    value that no widening separates does (leibniz's 4 at n = 1), is
-    settled by exact_floor in place of a second kernel run (for sqrt12 at
-    600 digits a tenth of its cost).  Equal arguments give bit-identical
+    digits + GUARD and digits + 2 * GUARD, then off exact_floor, for a
+    value that no widening separates (leibniz's 4 at n = 1).  The split
+    comes last because its products grow with n whatever the digits: at
+    10**6 terms and 0 digits it took 5 (leibniz) and 48 (aux-c) times as
+    long as a kernel bracket.  Equal arguments give bit-identical
     results."""
     _series(series_id)
     if terms < 1:
@@ -436,7 +439,7 @@ def evaluate(series_id: str, terms: int, correction: str, digits: int) -> FixedD
     if digits < 0:
         raise ValueError("digits must be >= 0")
     def bracket(ws: int) -> tuple[int, int]:
-        if ws > digits + GUARD:
+        if ws > digits + 2 * GUARD:
             return (exact_floor(series_id, terms, correction, ws),) * 2
         return _value_bracket(series_id, terms, correction, ws)
     return widen_until_settled(bracket, digits, digits + GUARD)

@@ -101,9 +101,9 @@ MUTANTS = (
            "drift = _ceil_multiplier(SERIES[series_id], 0) * (terms + 2) + 2", "drift = 0",
            (PI_SERIES,)),
     # never reading the exact floor hangs on a terminating value; the
-    # straddle test stops it at the second kernel bracket
+    # straddle test stops it first
     Mutant("fallback-never", "pi_series.py",
-           "if ws > digits + GUARD:", "if False:", (PI_SERIES,)),
+           "if ws > digits + 2 * GUARD:", "if False:", (PI_SERIES,)),
     # the printed bound is taken BOUND_DIGITS past the printed digits
     Mutant("bound-at-printed-digits", "pi_series.py",
            "scale = digits + BOUND_DIGITS", "scale = digits", (CLI_GOLDEN,)),

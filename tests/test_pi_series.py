@@ -292,6 +292,17 @@ class TestRunningSums:
             total += sign * (num * unit // den)
             assert parts(acc) == (total, scale)
 
+    @pytest.mark.parametrize("series_id", SERIES_IDS)
+    def test_multiplier(self, series_id):
+        # an integer multiplier stays at scale 0, so the product with a
+        # running sum needs no rescale; a root is floored at the scale
+        series, scale = SERIES[series_id], 2010
+        got = parts(pi_series._multiplier(series, scale))
+        if series.root:
+            assert got == (isqrt(series.multiplier * 10 ** (2 * scale)), scale)
+        else:
+            assert got == (series.multiplier, 0)
+
 
 class TestMadhavaFraction:
     def test_ten_decimals(self):
@@ -576,17 +587,16 @@ class TestEvaluateDigits:
     # hangs on the terminating values in the tests below, and this test
     # stops it first
     @pytest.mark.parametrize("series_id, correction", PRINTED_MODES)
-    def test_a_straddled_bracket_falls_back_to_the_exact_floor(
+    def test_two_straddled_brackets_fall_back_to_the_exact_floor(
             self, series_id, correction, monkeypatch):
         # a whole unit more on each end straddles every try, so each value
-        # takes one kernel bracket and then the exact floor; a second
-        # kernel bracket means evaluate runs the kernel where the exact
-        # floor is cheaper, or never reads it
+        # takes two kernel brackets and then the exact floor; a third
+        # kernel bracket means evaluate never reads the exact floor
         bracket, seen = pi_series._value_bracket, []
 
         def straddled(*args):
             seen.append(args[-1])
-            assert len(seen) <= 1, "a second kernel bracket before the exact floor"
+            assert len(seen) <= 2, "a third kernel bracket: the exact floor never ran"
             lo, hi = bracket(*args)
             one = 10 ** args[-1]
             return lo - one, hi + one
@@ -597,7 +607,7 @@ class TestEvaluateDigits:
             for digits in (0, 1, 12, 40):
                 seen.clear()
                 got = evaluate(series_id, n, correction, digits)
-                assert seen == [digits + GUARD]
+                assert seen == [digits + GUARD, digits + 2 * GUARD]
                 want = exact_floor(series_id, s, digits)
                 assert (got.sign, got.mantissa.to_int(), got.scale) == (1, want, digits), (n, digits)
 
