@@ -15,11 +15,14 @@ here; no float ever touches a computation path.
     keeps results bit-reproducible and plays nicely with alternating
     series error analysis; callers absorb the drift with guard digits.
     Its arithmetic is spelled ``fd_*`` only; the class itself keeps
-    ``-x``, ``abs()`` and the value comparisons.
+    ``-x``, ``abs()`` and the value comparisons.  ``fd_to_int`` is its
+    one int view, so no other module reads the sign and mantissa.
 
 ``widen_until_settled``
     The one settle rule: a value's proven floor at a scale, read off two
-    int ends that widen by GUARD digits until both floor alike.
+    int ends that widen by GUARD digits until both floor alike.  It is
+    also the one rounding: a rounded value floors a bracket shifted half
+    an ulp up.
 
 Operands range from a few limbs to a few thousand digits (``--scale``
 goes up to 2000, and a 1000-digit pi multiplies and divides 1000-digit
@@ -30,7 +33,7 @@ the longer operand's high limbs as one slice; the quadratic ones
 (multi-limb division, products, decimal up-shift, the integer square
 root) convert to Python ``int`` and back, since CPython does those
 textbook algorithms in C.  A ``FixedDec`` value comparison aligns its
-operands' scales as Python ``int`` and builds no ``BigNat``.  The series
+operands' scales through ``fd_to_int`` and builds no ``BigNat``.  The series
 kernels keep their divisors to one limb where they can.  All values are
 immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
@@ -315,7 +318,7 @@ class FixedDec:
 
     def _cmp(self, other: "FixedDec") -> int:
         s = max(self.scale, other.scale)
-        a, b = (x.sign * x.mantissa.to_int() * 10 ** (s - x.scale) for x in (self, other))
+        a, b = fd_to_int(self, s), fd_to_int(other, s)
         return (a > b) - (a < b)
 
     def __eq__(self, other):
@@ -386,6 +389,14 @@ def fd_divn(a: FixedDec, n, scale: int | None = None) -> FixedDec:
     return FixedDec(a.sign, fd_rescale(a, scale).mantissa // _as_nat(n), scale)
 
 
+def fd_to_int(a: FixedDec, scale: int) -> int:
+    """sign * mantissa at scale as an int: exact when the scale rises,
+    truncated toward zero when it drops."""
+    if scale >= a.scale:
+        return a.sign * a.mantissa.to_int() * 10 ** (scale - a.scale)
+    return a.sign * (a.mantissa.to_int() // 10 ** (a.scale - scale))
+
+
 def fd_rescale(a: FixedDec, scale: int) -> FixedDec:
     """Change scale: exact when raising, truncated toward zero when lowering."""
     if scale == a.scale:
@@ -393,21 +404,6 @@ def fd_rescale(a: FixedDec, scale: int) -> FixedDec:
     if scale > a.scale:
         return FixedDec(a.sign, a.mantissa.shift10(scale - a.scale), scale)
     return FixedDec(a.sign, a.mantissa.unshift10(a.scale - scale), scale)
-
-
-def fd_round(a: FixedDec, scale: int) -> FixedDec:
-    """Re-scale with round-half-away-from-zero on the magnitude.
-
-    The one sanctioned departure from truncation is a final-answer
-    quantization: the integer circumference (sine-table entries round
-    the same way inside their bracket); all intermediate arithmetic
-    stays truncating.
-    """
-    if scale >= a.scale:
-        return fd_rescale(a, scale)
-    drop = a.scale - scale
-    half = BigNat.from_int(5 * 10 ** (drop - 1))
-    return FixedDec(a.sign, (a.mantissa + half).unshift10(drop), scale)
 
 
 def widen_until_settled(bracket: Callable[[int], tuple[int, int]], scale: int,
@@ -453,8 +449,3 @@ def fd_from_string(s: str) -> FixedDec:
     sign = -1 if m.group(1) == "-" else 1
     frac = m.group(3) or ""
     return FixedDec(sign, BigNat.from_str(m.group(2) + frac), len(frac))
-
-
-def fd_floor_int(a: FixedDec) -> int:
-    """Integer floor; exact."""
-    return a.sign * a.mantissa.to_int() // 10**a.scale

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bigfixed import FixedDec, fd_add, fd_floor_int, fd_from_string, fd_mul, fd_rescale
+from .bigfixed import FixedDec, fd_add, fd_from_string, fd_mul, fd_rescale, fd_to_int
 
 KALI_EPOCH_JD = fd_from_string("588465.5")
 ANOMALISTIC_MONTH_DAYS = fd_from_string("27.554550")
@@ -78,14 +78,12 @@ def kali_to_julian_day(kali_day: FixedDec) -> FixedDec:
 def jd_to_date(jd: FixedDec) -> CalendarDate:
     """Civil Julian-calendar date of the day containing noon of this JD.
 
-    The civil day with Julian day number z runs from JD z-0.5 to z+0.5.
+    The civil day with Julian day number z runs from JD z-0.5 to z+0.5,
+    so z = floor(jd + 1/2), read off jd's tenths (jd > 0 truncates down).
     """
     if jd.sign < 0 or jd.is_zero():
         raise ValueError("jd must be positive")
-    s = max(jd.scale, 1)
-    half = fd_from_string("0.5")
-    jdn = fd_floor_int(fd_add(fd_rescale(jd, s), fd_rescale(half, s)))
-    year, month, day = _jdn_to_julian(jdn)
+    year, month, day = _jdn_to_julian((fd_to_int(jd, 1) + 5) // 10)
     return CalendarDate(year=year, month=month, day=day)
 
 

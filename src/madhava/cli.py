@@ -45,7 +45,7 @@ import sys
 from math import factorial
 from typing import NamedTuple
 
-from .bigfixed import FixedDec, fd_from_string, fd_rescale, fd_sub, fd_to_string
+from .bigfixed import FixedDec, fd_from_string, fd_rescale, fd_sub, fd_to_int, fd_to_string
 from .chronology import venvaroha_epoch_check
 from .geometry import circumradius
 from .pi_series import (
@@ -138,16 +138,15 @@ def _sine_sum(x: FixedDec, terms: int, scale: int) -> FixedDec:
     power and each quotient of |x| floored at scale and the sign of x
     applied at the end: a plain int loop that shares no code with
     trig_series._power_series, which nests."""
-    xw = fd_rescale(x, scale)
     unit = 10**scale
-    power = xw.mantissa.to_int()
+    power = abs(fd_to_int(x, scale))
     x2 = power * power // unit
     acc = 0
     for k in range(terms):
         term = power // factorial(2 * k + 1)
         acc += -term if k % 2 else term
         power = power * x2 // unit
-    return FixedDec(-xw.sign if acc < 0 else xw.sign, abs(acc), scale)
+    return FixedDec(-x.sign if acc < 0 else x.sign, abs(acc), scale)
 
 
 def _check_sine_table() -> VerifyCheck:
@@ -171,7 +170,7 @@ def _check_hierarchy() -> VerifyCheck:
     """The F1-F3 errors against pi, on the exact floors at scale 40 that
     ``converge --scale 40 --corrections all`` prints: no truncated sum."""
     scale = 40
-    pi_ref = pi_reference(scale).mantissa.to_int()
+    pi_ref = fd_to_int(pi_reference(scale), scale)
     first_violation = None
     for n in range(2, 51):
         errs = [abs(exact_floor(LEIBNIZ, n, mode, scale) - pi_ref) for mode in CORRECTIONS]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .bigfixed import FixedDec, fd_from_ratio, fd_isqrt
+from .bigfixed import FixedDec, fd_from_ratio, fd_isqrt, fd_to_int
 
 
 class NotCyclicError(ValueError):
@@ -33,8 +33,7 @@ def circumradius(q: Sequence[FixedDec], scale: int) -> FixedDec:
     dividing by a near-zero is meaningless at fixed scale.
     """
     e = max(s.scale for s in q)  # sides in units of 10**-e
-    a, b, c, d = sides = [s.sign * s.mantissa.to_int() * 10 ** (e - s.scale)
-                          for s in q]
+    a, b, c, d = sides = [fd_to_int(s, e) for s in q]
     if any(s <= 0 for s in sides):
         raise ValueError("sides must all be positive")
     brackets = [a + b + c + d - 2 * s for s in sides]

@@ -64,7 +64,7 @@ from .bigfixed import (
     fd_add,
     fd_from_ratio,
     fd_mul,
-    fd_round,
+    fd_to_int,
     widen_until_settled,
 )
 
@@ -296,14 +296,16 @@ def pi_reference(scale: int) -> FixedDec:
 
 def circumference_check() -> int:
     """The circumference of the diameter-9e11 circle, recomputed to
-    compare with the attributed 2,827,433,388,233.
+    compare with the attributed 2,827,433,388,233: pi * D rounded half up
+    to an integer, D the diameter, settled like a sine-table entry.
 
-    The product of pi_reference(20) and the diameter is within 9e11 *
-    10**-20, well under one unit, of the true circumference; it is then
-    rounded to the nearest integer (half away from zero).
-    """
-    product = fd_mul(pi_reference(20), FixedDec.from_int(CIRCLE_DIAMETER))
-    return fd_round(product, 0).mantissa.to_int()
+    With p = floor(pi * 10**ws), pi * D * 10**ws lies in [p * D, (p + 1) *
+    D), so its bracket is those ends shifted half a unit up, from ws = 20.
+    pi * D is irrational, so never a tie, and the widening ends."""
+    def bracket(ws: int) -> tuple[int, int]:
+        p, half = fd_to_int(pi_reference(ws), ws), 10**ws // 2
+        return p * CIRCLE_DIAMETER + half, (p + 1) * CIRCLE_DIAMETER + half - 1
+    return fd_to_int(widen_until_settled(bracket, 0, 20), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +380,7 @@ def _value_bracket(series_id: str, terms: int, correction: str, ws: int) -> tupl
     S' <= 1 times the floored root adds under one ulp, and the truncated
     product one more: the drift is under ceil(m) * (n + 2) + 2 ulp."""
     value = _value(series_id, terms, correction, ws)
-    mantissa = value.sign * value.mantissa.to_int()
+    mantissa = fd_to_int(value, ws)
     drift = _ceil_multiplier(SERIES[series_id], 0) * (terms + 2) + 2
     return mantissa - drift, mantissa + drift
 

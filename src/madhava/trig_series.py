@@ -46,6 +46,7 @@ from .bigfixed import (
     fd_mul,
     fd_rescale,
     fd_sub,
+    fd_to_int,
     widen_until_settled,
 )
 from .pi_series import pi_reference
@@ -197,7 +198,7 @@ def _second_difference_sines(h: FixedDec, count: int, ws: int) -> list[int]:
     2 cos(h) s_k - s_{k-1} from s_0 = 0 and _sin_cos's sin h and cos h,
     for h > 0 and count * h <= pi/2: every s_k is positive, so each
     floored product is the truncated one."""
-    sin_h, cos_h = (v.mantissa.to_int() for v in _sin_cos(h, ws))
+    sin_h, cos_h = (fd_to_int(v, ws) for v in _sin_cos(h, ws))
     two_cos_h, one = 2 * cos_h, 10**ws
     sines = [0, sin_h]
     while len(sines) <= count:
@@ -232,7 +233,7 @@ def _sin_cos(u: FixedDec, ws: int) -> tuple[FixedDec, FixedDec]:
     ulp there.  Each result is truncated toward zero at ws."""
     work = ws + GUARD
     one, cut = 10**work, 10**GUARD
-    m = fd_rescale(abs(u), work).mantissa.to_int()
+    m = abs(fd_to_int(u, work))
     terms = sin_terms_for(work, -(-1000 * m // one))
     x = m * m // one
     s = c = one

@@ -60,15 +60,13 @@ MUTANTS = (
            "    while borrow:", "    while False:", (BIGFIXED,)),
     Mutant("divmod-two-limbs-small", "bigfixed.py",
            "if len(other.limbs) == 1:", "if len(other.limbs) <= 2:", (BIGFIXED,)),
+    # the one int view: a comparison aligns through its raising branch
     Mutant("compare-unaligned", "bigfixed.py",
-           "x.sign * x.mantissa.to_int() * 10 ** (s - x.scale)", "x.sign * x.mantissa.to_int()",
+           "a.sign * a.mantissa.to_int() * 10 ** (scale - a.scale)", "a.sign * a.mantissa.to_int()",
            (BIGFIXED,)),
-    Mutant("floor-int-truncates", "bigfixed.py",
-           "return a.sign * a.mantissa.to_int() // 10**a.scale",
-           "return a.sign * (a.mantissa.to_int() // 10**a.scale)", (BIGFIXED,)),
-    Mutant("round-half-low", "bigfixed.py",
-           "half = BigNat.from_int(5 * 10 ** (drop - 1))",
-           "half = BigNat.from_int(4 * 10 ** (drop - 1))", (BIGFIXED,)),
+    Mutant("to-int-floors-negatives", "bigfixed.py",
+           "return a.sign * (a.mantissa.to_int() // 10 ** (a.scale - scale))",
+           "return a.sign * a.mantissa.to_int() // 10 ** (a.scale - scale)", (BIGFIXED,)),
     Mutant("decimal-prefix-match", "bigfixed.py",
            "_FD_PATTERN.fullmatch(s)", "_FD_PATTERN.match(s)", (BIGFIXED,)),
     # the settle rule: its callers' tests must catch these, not only its own
@@ -97,6 +95,8 @@ MUTANTS = (
            "t1 * d2 * q2 + t2 * d1", "t1 * d2 + t2 * d1", (PI_SERIES,)),
     Mutant("correction-sign-flipped", "pi_series.py",
            "corr if n % 2 == 0 else -corr)", "-corr if n % 2 == 0 else corr)", (PI_SERIES,)),
+    # the rounded circumference floors a bracket shifted half a unit up
+    Mutant("circumference-floors", "pi_series.py", "10**ws // 2", "0", (PI_SERIES,)),
     Mutant("value-drift-zero", "pi_series.py",
            "drift = _ceil_multiplier(SERIES[series_id], 0) * (terms + 2) + 2", "drift = 0",
            (PI_SERIES,)),

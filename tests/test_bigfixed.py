@@ -16,14 +16,13 @@ from madhava.bigfixed import (
     ScaleMismatchError,
     fd_add,
     fd_divn,
-    fd_floor_int,
     fd_from_ratio,
     fd_from_string,
     fd_isqrt,
     fd_mul,
     fd_rescale,
-    fd_round,
     fd_sub,
+    fd_to_int,
     fd_to_string,
     widen_until_settled,
 )
@@ -304,18 +303,11 @@ class TestFixedDec:
     def test_rescale_and_round(self):
         assert fd_to_string(fd_rescale(fd_from_string("1.23"), 5)) == "1.23000"
         assert fd_to_string(fd_rescale(fd_from_string("1.23999"), 2)) == "1.23"
-        assert fd_to_string(fd_round(fd_from_string("0.99999999993"), 8)) == "1.00000000"
-        assert fd_to_string(fd_round(fd_from_string("0.49999999996"), 10)) == "0.5000000000"
-        assert fd_to_string(fd_round(fd_from_string("0.49999999991"), 10)) == "0.4999999999"
-        assert fd_to_string(fd_round(fd_from_string("-2.5"), 0)) == "-3"
-
-    def test_floor_int(self):
-        assert fd_floor_int(fd_from_string("2233206.569")) == 2233206
-        assert fd_floor_int(fd_from_string("-2.5")) == -3
-        assert fd_floor_int(fd_from_string("-2.0")) == -2
 
     @pytest.mark.parametrize("scale", (0, 1, 5, 9, 10, 18, 30))
-    def test_floor_int_matches_fraction(self, scale):
+    def test_to_int_matches_fraction(self, scale):
+        # int() truncates a Fraction toward zero, as fd_to_int must below
+        # the value's scale; above it the read is exact
         rng = random.Random(1000 + scale)
         whole = 10**scale
         mantissas = [0, 1, whole, 7 * whole, whole - 1, whole + 1]
@@ -323,11 +315,8 @@ class TestFixedDec:
         for m in mantissas:
             for sign in (1, -1):
                 v = FixedDec(sign, BigNat.from_int(m), scale)
-                assert fd_floor_int(v) == math.floor(as_fraction(v)), fd_to_string(v)
-        # -10**-s and the negative whole numbers
-        assert fd_floor_int(FixedDec(-1, 1, scale)) == -1
-        for n in (1, 2, 9, 10, 10**12):
-            assert fd_floor_int(FixedDec.from_int(-n, scale)) == -n
+                for s in range(31):
+                    assert fd_to_int(v, s) == int(as_fraction(v) * 10**s), (fd_to_string(v), s)
 
     def test_value_comparison_across_scales(self):
         assert fd_from_string("0.50") == fd_from_string("0.5000")

@@ -82,3 +82,15 @@ def test_module_imports_only_bigfixed(module):
     # trig or pi change cannot move them
     report = "sorted(m for m in sys.modules if m.partition('.')[0] == 'madhava')"
     assert _fresh_import(module, report) == f"{sorted(('madhava', 'madhava.bigfixed', module))}\n"
+
+
+@pytest.mark.parametrize("name, homes", [
+    (".mantissa", {"bigfixed.py"}),
+    ("BigNat", {"bigfixed.py", "pi_series.py"}),
+])
+def test_fixeddec_layout_stays_in_bigfixed(name, homes):
+    # every other module reads a FixedDec through fd_to_int; the pi kernel
+    # alone still divides BigNat values
+    package = Path(madhava.__file__).resolve().parent
+    readers = {p.name for p in package.glob("*.py") if name in p.read_text(encoding="utf-8")}
+    assert readers == homes
